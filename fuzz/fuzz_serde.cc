@@ -8,12 +8,17 @@
 //     encodings are the interesting paths.
 //  2. Round-trip: the input also picks a sequence of typed values that
 //     are written with BufferWriter and read back; any mismatch traps.
+//  3. Join block: the input is decoded as a MapReduce join block
+//     (mrjoin/common.h). A header whose id counts exceed the input must
+//     be rejected before anything is reserved; a block that decodes must
+//     re-encode to exactly the input bytes (varints are canonical).
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/serde.h"
 #include "fuzz_targets.h"
+#include "mrjoin/common.h"
 
 namespace hamming_fuzz {
 namespace {
@@ -151,11 +156,23 @@ void RoundTripPhase(const uint8_t* data, std::size_t size) {
   HAMMING_FUZZ_CHECK(reader.AtEnd());
 }
 
+void JoinBlockPhase(const uint8_t* data, std::size_t size) {
+  const std::vector<uint8_t> bytes(data, data + size);
+  hamming::mrjoin::JoinBlock block;
+  if (!hamming::mrjoin::DecodeJoinBlock(bytes, &block).ok()) return;
+  // Every id costs at least one byte, so a decoded block can never hold
+  // more ids than the input had bytes.
+  HAMMING_FUZZ_CHECK(block.r_ids.size() + block.s_ids.size() <= size);
+  HAMMING_FUZZ_CHECK(
+      hamming::mrjoin::EncodeJoinBlock(block.r_ids, block.s_ids) == bytes);
+}
+
 }  // namespace
 
 void RunSerdeFuzzInput(const uint8_t* data, std::size_t size) {
   DecodePhase(data, size);
   RoundTripPhase(data, size);
+  JoinBlockPhase(data, size);
 }
 
 }  // namespace hamming_fuzz

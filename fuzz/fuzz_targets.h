@@ -15,7 +15,9 @@ namespace hamming_fuzz {
 
 /// Drives common/serde.h: decodes the input as an op stream against a
 /// BufferReader (bounds/overflow paths) and round-trips fuzz-chosen
-/// values through BufferWriter -> BufferReader, trapping on mismatch.
+/// values through BufferWriter -> BufferReader, trapping on mismatch;
+/// then decodes the input as a mrjoin join block (bounded header, exact
+/// re-encode).
 void RunSerdeFuzzInput(const uint8_t* data, std::size_t size);
 
 /// Drives storage/file_io.h: writes the input bytes to a temp file and

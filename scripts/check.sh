@@ -57,6 +57,14 @@
 # differentially checks the bit-plane vertical kernels against the
 # horizontal layout.
 #
+# The perfbench stage runs the benchmark's own tests
+# (perfbench/test_perfbench.py): it builds the perfbench binary from this
+# tree, runs every BENCHMARK.json workload on shrunken inputs, and checks
+# the metric names, that each exercised layer reports, and that every
+# correctness check catches a corrupted answer. ctest never compiles
+# perfbench/, so this is the gate that notices a library API change
+# breaking the benchmark.
+#
 # The ubsan stage builds with -fsanitize=undefined alone (build-ubsan/,
 # HAMMING_UBSAN=ON, trap-on-first-report) and runs the FULL ctest
 # suite — the combined ASan+UBSan stage only covers the kernel/shuffle
@@ -65,6 +73,7 @@
 #
 # Usage: scripts/check.sh [--skip-asan] [--skip-tsan] [--skip-ubsan]
 #                         [--skip-lint] [--skip-analyze] [--skip-fuzz]
+#                         [--skip-perfbench]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,6 +83,7 @@ SKIP_UBSAN=0
 SKIP_LINT=0
 SKIP_ANALYZE=0
 SKIP_FUZZ=0
+SKIP_PERFBENCH=0
 for arg in "$@"; do
   [[ "$arg" == "--skip-asan" ]] && SKIP_ASAN=1
   [[ "$arg" == "--skip-tsan" ]] && SKIP_TSAN=1
@@ -81,6 +91,7 @@ for arg in "$@"; do
   [[ "$arg" == "--skip-lint" ]] && SKIP_LINT=1
   [[ "$arg" == "--skip-analyze" ]] && SKIP_ANALYZE=1
   [[ "$arg" == "--skip-fuzz" ]] && SKIP_FUZZ=1
+  [[ "$arg" == "--skip-perfbench" ]] && SKIP_PERFBENCH=1
 done
 
 echo "==> tier-1: configure + build + ctest (build/)"
@@ -121,6 +132,13 @@ else
   ./build/fuzz/fuzz_spill fuzz/corpus/spill -mutate=500
   ./build/fuzz/fuzz_json  fuzz/corpus/json  -mutate=500
   ./build/fuzz/fuzz_vertical fuzz/corpus/vertical -mutate=500
+fi
+
+if [[ "$SKIP_PERFBENCH" == "1" ]]; then
+  echo "==> skipping perfbench stage (--skip-perfbench)"
+else
+  echo "==> perfbench: benchmark build + every workload on shrunken inputs"
+  python3 perfbench/test_perfbench.py
 fi
 
 echo "==> observability: traced job + JSON artifact validation"

@@ -1,5 +1,7 @@
 #include "mrjoin/common.h"
 
+#include <limits>
+
 namespace hamming::mrjoin {
 
 mr::ExecutionOptions PlanJobOptions(const MRJoinOptions& opts,
@@ -60,19 +62,54 @@ Result<VectorTuple> DecodeVectorTuple(const std::vector<uint8_t>& bytes) {
   return t;
 }
 
-std::vector<uint8_t> EncodeJoinPair(const JoinPair& p) {
+std::vector<uint8_t> EncodeJoinBlock(std::span<const TupleId> r_ids,
+                                     std::span<const TupleId> s_ids) {
   BufferWriter w;
-  w.PutVarint64(p.r);
-  w.PutVarint64(p.s);
+  w.PutVarint64(r_ids.size());
+  w.PutVarint64(s_ids.size());
+  for (TupleId r : r_ids) w.PutVarint64(r);
+  for (TupleId s : s_ids) w.PutVarint64(s);
   return w.Release();
 }
 
-Result<JoinPair> DecodeJoinPair(const std::vector<uint8_t>& bytes) {
+namespace {
+
+// Reads a join block's id counts. Every id takes at least one varint
+// byte, so counts past the bytes left are corrupt; rejecting them here
+// keeps a bad header from sizing any allocation.
+Status GetJoinBlockHeader(BufferReader* r, uint64_t* num_r, uint64_t* num_s) {
+  HAMMING_RETURN_NOT_OK(r->GetVarint64(num_r));
+  HAMMING_RETURN_NOT_OK(r->GetVarint64(num_s));
+  if (*num_r > r->remaining() || *num_s > r->remaining() - *num_r) {
+    return Status::IOError("join block header counts exceed its bytes");
+  }
+  return Status::OK();
+}
+
+Status GetTupleIds(BufferReader* r, uint64_t n, std::vector<TupleId>* ids) {
+  ids->clear();
+  ids->reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    uint64_t id;
+    HAMMING_RETURN_NOT_OK(r->GetVarint64(&id));
+    if (id > std::numeric_limits<TupleId>::max()) {
+      return Status::IOError("join block tuple id out of range");
+    }
+    ids->push_back(static_cast<TupleId>(id));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status DecodeJoinBlock(const std::vector<uint8_t>& bytes, JoinBlock* block) {
   BufferReader r(bytes);
-  uint64_t rid, sid;
-  HAMMING_RETURN_NOT_OK(r.GetVarint64(&rid));
-  HAMMING_RETURN_NOT_OK(r.GetVarint64(&sid));
-  return JoinPair{static_cast<TupleId>(rid), static_cast<TupleId>(sid)};
+  uint64_t num_r, num_s;
+  HAMMING_RETURN_NOT_OK(GetJoinBlockHeader(&r, &num_r, &num_s));
+  HAMMING_RETURN_NOT_OK(GetTupleIds(&r, num_r, &block->r_ids));
+  HAMMING_RETURN_NOT_OK(GetTupleIds(&r, num_s, &block->s_ids));
+  if (!r.AtEnd()) return Status::IOError("trailing bytes after join block");
+  return Status::OK();
 }
 
 std::vector<uint8_t> PartitionKey(uint32_t partition) {
@@ -105,11 +142,24 @@ std::vector<mr::Record> MatrixToRecords(const FloatMatrix& data,
 
 Result<std::vector<JoinPair>> CollectJoinPairs(
     const std::vector<std::vector<mr::Record>>& outputs) {
-  std::vector<JoinPair> pairs;
+  std::size_t total = 0;
   for (const auto& part : outputs) {
     for (const auto& rec : part) {
-      HAMMING_ASSIGN_OR_RETURN(JoinPair p, DecodeJoinPair(rec.value));
-      pairs.push_back(p);
+      BufferReader r(rec.value);
+      uint64_t num_r, num_s;
+      HAMMING_RETURN_NOT_OK(GetJoinBlockHeader(&r, &num_r, &num_s));
+      total += num_r * num_s;
+    }
+  }
+  std::vector<JoinPair> pairs;
+  pairs.reserve(total);
+  JoinBlock block;
+  for (const auto& part : outputs) {
+    for (const auto& rec : part) {
+      HAMMING_RETURN_NOT_OK(DecodeJoinBlock(rec.value, &block));
+      for (TupleId r : block.r_ids) {
+        for (TupleId s : block.s_ids) pairs.push_back({r, s});
+      }
     }
   }
   return pairs;

@@ -8,6 +8,13 @@
 //  * vector records — (table tag, tuple id, full d-dimensional vector).
 //    PGBJ must ship these because it joins in the original metric space;
 //    its shuffle grows with d and with replication.
+//
+// A third family is final reduce output and never crosses the shuffle:
+//  * join blocks — (R ids, S ids), standing for their cross product. The
+//    Hamming plans emit one block per reduce group (MRHA Option B: one per
+//    qualifying code) or per probe (MRHA Option A, PMH: the probe's
+//    matches × {s}), so an answer of millions of pairs leaves the
+//    reducers as thousands of records and CollectJoinPairs expands it.
 #pragma once
 
 #include <cstdint>
@@ -78,9 +85,22 @@ Result<CodeTuple> DecodeCodeTuple(const std::vector<uint8_t>& bytes);
 std::vector<uint8_t> EncodeVectorTuple(const VectorTuple& t);
 Result<VectorTuple> DecodeVectorTuple(const std::vector<uint8_t>& bytes);
 
-/// \brief Encodes/decodes a join pair (r_id, s_id).
-std::vector<uint8_t> EncodeJoinPair(const JoinPair& p);
-Result<JoinPair> DecodeJoinPair(const std::vector<uint8_t>& bytes);
+/// \brief The pairs r_ids × s_ids, as one record value.
+struct JoinBlock {
+  std::vector<TupleId> r_ids;
+  std::vector<TupleId> s_ids;
+};
+
+/// \brief Encodes a join block: |R ids|, |S ids|, the R ids, the S ids,
+/// all varints.
+std::vector<uint8_t> EncodeJoinBlock(std::span<const TupleId> r_ids,
+                                     std::span<const TupleId> s_ids);
+
+/// \brief Decodes a join block into `block`, reusing its buffers. A
+/// header whose id counts exceed the bytes left (every id takes at least
+/// one) is an IOError raised before anything is reserved; so are an id
+/// past TupleId's range and trailing bytes.
+Status DecodeJoinBlock(const std::vector<uint8_t>& bytes, JoinBlock* block);
 
 /// \brief A fixed32 partition-id key (keeps keys tiny and orderable).
 std::vector<uint8_t> PartitionKey(uint32_t partition);
@@ -90,7 +110,9 @@ Result<uint32_t> DecodePartitionKey(const std::vector<uint8_t>& key);
 /// (key left empty; mappers key their own output).
 std::vector<mr::Record> MatrixToRecords(const FloatMatrix& data, Table table);
 
-/// \brief Flattens reducer outputs of join pairs into one list.
+/// \brief Expands reducer outputs of join blocks into one pair list:
+/// blocks in output order, each as "for r, for s". The list is reserved
+/// exactly from the block headers before anything is expanded.
 Result<std::vector<JoinPair>> CollectJoinPairs(
     const std::vector<std::vector<mr::Record>>& outputs);
 

@@ -179,7 +179,8 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
       obs::QueryStatsHistograms::Register(metrics);
 
   if (opts.option == MrhaOption::kA) {
-    // Reducers H-Search the broadcast index and emit (r, s) directly.
+    // Reducers H-Search the broadcast index and emit each probe's answer
+    // directly, as one join block (matching r ids × {s}).
     join_job.reduce_fn =
         [index_ptr, h, metrics, query_hists](
             const std::vector<uint8_t>&,
@@ -211,9 +212,8 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
         for (std::size_t i = 0; i < count; ++i) {
           HAMMING_RETURN_NOT_OK(resps[i].status);
           if (metrics != nullptr) query_hists.Observe(metrics, resps[i].stats);
-          for (TupleId r : resps[i].ids) {
-            out->Emit({}, EncodeJoinPair({r, s_ids[i]}));
-          }
+          if (resps[i].ids.empty()) continue;
+          out->Emit({}, EncodeJoinBlock(resps[i].ids, {&s_ids[i], 1}));
         }
       }
       return Status::OK();
@@ -221,6 +221,7 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
     HAMMING_ASSIGN_OR_RETURN(mr::JobResult join_result,
                              RunJob(join_job, cluster));
     plan_counters.Merge(join_result.counters);
+    result.answer_blocks = join_result.counters.Get(mr::kReduceOutputRecords);
     HAMMING_ASSIGN_OR_RETURN(result.pairs,
                              CollectJoinPairs(join_result.outputs));
   } else {
@@ -239,10 +240,11 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
             index_ptr->SearchCodes(t.code, h,
                                    metrics != nullptr ? &qstats : nullptr));
         if (metrics != nullptr) query_hists.Observe(metrics, qstats);
+        const std::vector<uint8_t> value = EncodeCodeTuple(t);
         for (const BinaryCode& code : matches) {
           BufferWriter w;
           code.Serialize(&w);
-          out->Emit(w.Release(), EncodeCodeTuple(t));
+          out->Emit(w.Release(), value);
         }
       }
       return Status::OK();
@@ -293,14 +295,17 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
           s_ids.push_back(t.id);
         }
       }
-      for (TupleId r : r_ids) {
-        for (TupleId s : s_ids) out->Emit({}, EncodeJoinPair({r, s}));
+      // One block per code group with both sides: the group's answer is
+      // exactly r_ids × s_ids.
+      if (!r_ids.empty() && !s_ids.empty()) {
+        out->Emit({}, EncodeJoinBlock(r_ids, s_ids));
       }
       return Status::OK();
     };
     HAMMING_ASSIGN_OR_RETURN(mr::JobResult post_result,
                              RunJob(post_job, cluster));
     plan_counters.Merge(post_result.counters);
+    result.answer_blocks = post_result.counters.Get(mr::kReduceOutputRecords);
     HAMMING_ASSIGN_OR_RETURN(result.pairs,
                              CollectJoinPairs(post_result.outputs));
   }

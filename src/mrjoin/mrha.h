@@ -12,10 +12,11 @@
 //
 // Phase 3 (second MapReduce job): the global index is broadcast through
 // the distributed cache. Option A (small R) broadcasts the index *with*
-// leaf tuple-id tables and reducers emit (r, s) pairs directly from
-// H-Search. Option B (large R) broadcasts a leafless index; reducers emit
-// (s, qualifying R code) and a post-processing hash join (a third
-// MapReduce job) resolves codes to R tuple ids.
+// leaf tuple-id tables and reducers emit each S tuple's matches directly
+// from H-Search. Option B (large R) broadcasts a leafless index; reducers
+// emit (s, qualifying R code) and a post-processing hash join (a third
+// MapReduce job) resolves codes to R tuple ids. Either way the answer
+// leaves the reducers as join blocks (mrjoin/common.h).
 #pragma once
 
 #include <memory>
@@ -57,6 +58,10 @@ struct MrhaResult {
   MrhaPhaseTimes phase_seconds;
   int64_t shuffle_bytes = 0;    // map-output bytes across all jobs
   int64_t broadcast_bytes = 0;  // distributed-cache bytes across all jobs
+  /// Join blocks the answer arrived in: the reduce output records of the
+  /// job that emits it (Option A: one per S tuple with matches; Option B:
+  /// one per post-join code group with both an R and an S side).
+  int64_t answer_blocks = 0;
 };
 
 /// \brief Runs the full three-phase Hamming-join of R with S.

@@ -1,12 +1,36 @@
 #include "mrjoin/mrselect.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/rng.h"
 #include "dataset/sampling.h"
 #include "observability/query_stats.h"
 
 namespace hamming::mrjoin {
+
+Result<std::vector<std::vector<TupleId>>> CollectSelectMatches(
+    const std::vector<std::vector<mr::Record>>& outputs,
+    std::size_t num_queries) {
+  std::vector<std::vector<TupleId>> matches(num_queries);
+  JoinBlock block;
+  for (const auto& part : outputs) {
+    for (const auto& rec : part) {
+      HAMMING_RETURN_NOT_OK(DecodeJoinBlock(rec.value, &block));
+      for (TupleId q : block.s_ids) {
+        if (q >= num_queries) {
+          return Status::OutOfRange("mr-select answer names query " +
+                                    std::to_string(q) + " of " +
+                                    std::to_string(num_queries));
+        }
+        matches[q].insert(matches[q].end(), block.r_ids.begin(),
+                          block.r_ids.end());
+      }
+    }
+  }
+  for (auto& m : matches) std::sort(m.begin(), m.end());
+  return matches;
+}
 
 Result<MrSelectResult> RunMrSelect(const FloatMatrix& data,
                                    const FloatMatrix& queries,
@@ -104,32 +128,21 @@ Result<MrSelectResult> RunMrSelect(const FloatMatrix& data,
     }
     std::vector<QueryResponse> resps(reqs.size());
     HAMMING_RETURN_NOT_OK(local.SearchBatch(reqs, resps));
+    // Each query's local answer leaves as one join block: ids × {q}.
     for (std::size_t q = 0; q < resps.size(); ++q) {
       HAMMING_RETURN_NOT_OK(resps[q].status);
       if (metrics != nullptr) query_hists.Observe(metrics, resps[q].stats);
-      for (TupleId id : resps[q].ids) {
-        BufferWriter w;
-        w.PutVarint64(q);
-        w.PutVarint64(id);
-        out->Emit({}, w.Release());
-      }
+      if (resps[q].ids.empty()) continue;
+      const TupleId query = static_cast<TupleId>(q);
+      out->Emit({}, EncodeJoinBlock(resps[q].ids, {&query, 1}));
     }
     return Status::OK();
   };
   HAMMING_ASSIGN_OR_RETURN(mr::JobResult job_result, RunJob(job, cluster));
   plan_counters.Merge(job_result.counters);
 
-  result.matches.resize(queries.rows());
-  for (const auto& part : job_result.outputs) {
-    for (const auto& rec : part) {
-      BufferReader r(rec.value);
-      uint64_t q, id;
-      HAMMING_RETURN_NOT_OK(r.GetVarint64(&q));
-      HAMMING_RETURN_NOT_OK(r.GetVarint64(&id));
-      result.matches[q].push_back(static_cast<TupleId>(id));
-    }
-  }
-  for (auto& m : result.matches) std::sort(m.begin(), m.end());
+  HAMMING_ASSIGN_OR_RETURN(
+      result.matches, CollectSelectMatches(job_result.outputs, queries.rows()));
   result.shuffle_bytes = plan_counters.Get(mr::kShuffleBytes);
   result.broadcast_bytes = plan_counters.Get(mr::kBroadcastBytes);
   return result;

@@ -29,6 +29,13 @@ struct MrSelectResult {
   int64_t broadcast_bytes = 0;
 };
 
+/// \brief Gathers the select job's reducer outputs — join blocks of
+/// (matching ids × {query position}) — into per-query sorted id lists.
+/// A block naming a query position >= num_queries is OutOfRange.
+Result<std::vector<std::vector<TupleId>>> CollectSelectMatches(
+    const std::vector<std::vector<mr::Record>>& outputs,
+    std::size_t num_queries);
+
 /// \brief Runs the distributed batch Hamming-select of `queries` (feature
 /// vectors) against `data`.
 Result<MrSelectResult> RunMrSelect(const FloatMatrix& data,

@@ -115,9 +115,9 @@ Result<PmhResult> RunPmhJoin(const FloatMatrix& r_data,
       for (std::size_t i = 0; i < count; ++i) {
         HAMMING_RETURN_NOT_OK(resps[i].status);
         if (metrics != nullptr) query_hists.Observe(metrics, resps[i].stats);
-        for (TupleId r : resps[i].ids) {
-          out->Emit({}, EncodeJoinPair({r, s_ids[i]}));
-        }
+        // One join block per probe with matches: its r ids × {s}.
+        if (resps[i].ids.empty()) continue;
+        out->Emit({}, EncodeJoinBlock(resps[i].ids, {&s_ids[i], 1}));
       }
     }
     return Status::OK();

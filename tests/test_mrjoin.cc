@@ -2,12 +2,17 @@
 // centralized ground truth and the Section 5.4 shuffle-cost ordering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <set>
+
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "dataset/sampling.h"
 #include "hashing/spectral_hashing.h"
 #include "knn/exact_knn.h"
 #include "mrjoin/mrha.h"
+#include "mrjoin/mrselect.h"
 #include "mrjoin/pgbj.h"
 #include "mrjoin/pmh.h"
 
@@ -30,6 +35,17 @@ class MrJoinTest : public ::testing::Test {
   // the hash pipeline deterministically (same seed => same model).
   std::vector<JoinPair> CentralizedTruth(std::size_t code_bits, std::size_t h,
                                          double sample_rate, uint64_t seed) {
+    auto hash = TrainLikeMrha(code_bits, sample_rate, seed);
+    auto pairs = NestedLoopsJoin(hash->HashAll(r_data_),
+                                 hash->HashAll(s_data_), h);
+    NormalizePairs(&pairs);
+    return pairs;
+  }
+
+  // The hash model MRHA trains for these inputs.
+  std::unique_ptr<SpectralHashing> TrainLikeMrha(std::size_t code_bits,
+                                                 double sample_rate,
+                                                 uint64_t seed) {
     // Reproduce the MRHA preprocessing exactly.
     Rng rng(seed);
     std::size_t r_n = std::max<std::size_t>(
@@ -50,12 +66,7 @@ class MrJoinTest : public ::testing::Test {
     }
     SpectralHashingOptions opts;
     opts.code_bits = code_bits;
-    auto hash = SpectralHashing::Train(sample, opts).ValueOrDie();
-    auto r_codes = hash->HashAll(r_data_);
-    auto s_codes = hash->HashAll(s_data_);
-    auto pairs = NestedLoopsJoin(r_codes, s_codes, h);
-    NormalizePairs(&pairs);
-    return pairs;
+    return SpectralHashing::Train(sample, opts).ValueOrDie();
   }
 
   FloatMatrix r_data_;
@@ -91,6 +102,133 @@ TEST_F(MrJoinTest, MrhaOptionBMatchesCentralizedJoin) {
   auto truth = CentralizedTruth(opts.code_bits, opts.h, opts.sample_rate,
                                 opts.seed);
   EXPECT_EQ(pairs, truth);
+}
+
+TEST(JoinBlockCodec, RoundTripsIncludingSingleIdSides) {
+  const std::vector<JoinBlock> blocks = {
+      {{4, 1, 900}, {7}},
+      {{3}, {2, 70000, 5}},
+      {{0}, {std::numeric_limits<TupleId>::max()}},
+      {{}, {}},
+  };
+  JoinBlock got{{99}, {99, 98}};  // stale buffers must be replaced
+  for (const JoinBlock& b : blocks) {
+    ASSERT_TRUE(DecodeJoinBlock(EncodeJoinBlock(b.r_ids, b.s_ids), &got).ok());
+    EXPECT_EQ(got.r_ids, b.r_ids);
+    EXPECT_EQ(got.s_ids, b.s_ids);
+  }
+}
+
+TEST(JoinBlockCodec, CollectExpandsBlocksInOrderRThenS) {
+  std::vector<std::vector<mr::Record>> outputs(3);
+  const std::vector<TupleId> r1 = {4, 1}, s1 = {7, 2, 9};
+  const std::vector<TupleId> r2 = {5}, s2 = {3};
+  outputs[0].push_back({{}, EncodeJoinBlock(r1, s1)});
+  outputs[2].push_back({{}, EncodeJoinBlock(r2, s2)});
+  auto pairs = CollectJoinPairs(outputs);
+  ASSERT_TRUE(pairs.ok()) << pairs.status();
+  const std::vector<JoinPair> want = {{4, 7}, {4, 2}, {4, 9}, {1, 7},
+                                      {1, 2}, {1, 9}, {5, 3}};
+  EXPECT_EQ(*pairs, want);
+  EXPECT_EQ(pairs->capacity(), want.size());  // reserved from the headers
+}
+
+TEST(JoinBlockCodec, RejectsTruncatedOrOversizedHeaders) {
+  const std::vector<TupleId> r = {1, 2}, s = {300};
+  std::vector<uint8_t> truncated = EncodeJoinBlock(r, s);
+  truncated.pop_back();  // half of the S id's two varint bytes
+  std::vector<uint8_t> trailing = EncodeJoinBlock(r, s);
+  trailing.push_back(0);
+  const std::vector<std::vector<uint8_t>> bad = {
+      {},                                  // no header at all
+      {0x02},                              // |S ids| missing
+      {0x02, 0x01, 0x01, 0x02},            // three ids promised, two given
+      {0xff, 0xff, 0xff, 0xff, 0x0f, 0x01, 0x07},  // |R ids| ~ 4G
+      {0x01, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x07},  // |S ids| ~ 4G
+      {0x01, 0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x03},  // id > 2^32 - 1
+      truncated,
+      trailing,
+  };
+  JoinBlock block;
+  for (const auto& bytes : bad) {
+    EXPECT_FALSE(DecodeJoinBlock(bytes, &block).ok());
+    std::vector<std::vector<mr::Record>> outputs(1);
+    outputs[0].push_back({{}, bytes});
+    EXPECT_FALSE(CollectJoinPairs(outputs).ok());
+  }
+}
+
+TEST(MrSelectCollect, RejectsAQueryPositionPastTheBatch) {
+  const std::vector<TupleId> ids = {8, 3}, q1 = {1}, q5 = {5};
+  std::vector<std::vector<mr::Record>> outputs(2);
+  outputs[0].push_back({{}, EncodeJoinBlock(ids, q1)});
+  auto ok = CollectSelectMatches(outputs, 3);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  const std::vector<std::vector<TupleId>> want = {{}, {3, 8}, {}};
+  EXPECT_EQ(*ok, want);
+  outputs[1].push_back({{}, EncodeJoinBlock(ids, q5)});
+  auto bad = CollectSelectMatches(outputs, 3);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST_F(MrJoinTest, BlockAnswersIdenticalUnderFiniteShuffleBudget) {
+  // The answer blocks are reduce output, so a spilling shuffle must
+  // deliver the same pairs in the same order as the in-memory one.
+  constexpr std::size_t kBudget = 4096;
+  auto run = [&](auto join, auto opts, const char* plan) {
+    SCOPED_TRACE(plan);
+    mr::Cluster unlimited_cluster({4, 2, 4});
+    mr::Cluster spill_cluster({4, 2, 4});
+    auto unlimited = join(r_data_, s_data_, opts, &unlimited_cluster);
+    opts.exec.shuffle_memory_bytes = kBudget;
+    auto spilled = join(r_data_, s_data_, opts, &spill_cluster);
+    ASSERT_TRUE(unlimited.ok()) << unlimited.status();
+    ASSERT_TRUE(spilled.ok()) << spilled.status();
+    EXPECT_GT(spill_cluster.cumulative_counters()->Get(mr::kShuffleSpills), 0);
+    EXPECT_FALSE(unlimited->pairs.empty());
+    EXPECT_EQ(unlimited->pairs, spilled->pairs);  // not normalized
+  };
+  MrhaOptions a_opts;
+  a_opts.num_partitions = 4;
+  a_opts.option = MrhaOption::kA;
+  MrhaOptions b_opts = a_opts;
+  b_opts.option = MrhaOption::kB;
+  PmhOptions pmh_opts;
+  pmh_opts.num_partitions = 4;
+  run(RunMrhaJoin, a_opts, "mrha-a");
+  run(RunMrhaJoin, b_opts, "mrha-b");
+  run(RunPmhJoin, pmh_opts, "pmh");
+}
+
+TEST_F(MrJoinTest, AnswerBlocksCountMatchedGroups) {
+  MrhaOptions opts;
+  opts.num_partitions = 4;
+  opts.h = 3;
+  auto hash = TrainLikeMrha(opts.code_bits, opts.sample_rate, opts.seed);
+  const auto r_codes = hash->HashAll(r_data_);
+  const auto pairs = NestedLoopsJoin(r_codes, hash->HashAll(s_data_), opts.h);
+  // Option A answers per S probe; Option B per post-join code group, and
+  // only groups with both an R side and an S side produce a block.
+  std::set<TupleId> matched_s;
+  std::set<BinaryCode> matched_codes;
+  for (const JoinPair& p : pairs) {
+    matched_s.insert(p.s);
+    matched_codes.insert(r_codes[p.r]);
+  }
+  ASSERT_FALSE(matched_codes.empty());
+  ASSERT_LT(matched_codes.size(), pairs.size());  // blocks do batch pairs
+
+  opts.option = MrhaOption::kA;
+  auto a = RunMrhaJoin(r_data_, s_data_, opts, cluster_.get());
+  ASSERT_TRUE(a.ok()) << a.status();
+  EXPECT_EQ(a->answer_blocks, static_cast<int64_t>(matched_s.size()));
+  opts.option = MrhaOption::kB;
+  auto b = RunMrhaJoin(r_data_, s_data_, opts, cluster_.get());
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(b->answer_blocks, static_cast<int64_t>(matched_codes.size()));
+  EXPECT_EQ(a->pairs.size(), pairs.size());
+  EXPECT_EQ(b->pairs.size(), pairs.size());
 }
 
 TEST_F(MrJoinTest, MrhaOptionBBroadcastsLessThanOptionA) {
