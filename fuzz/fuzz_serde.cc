@@ -1,6 +1,6 @@
 // Fuzz harness for the shuffle serialization layer (common/serde.h).
 //
-// Two phases per input:
+// Four phases per input:
 //  1. Decode: the input bytes are treated as a hostile buffer and read
 //     through every BufferReader getter in a rotating order. Every
 //     getter must either succeed or return a Status — out-of-bounds
@@ -12,6 +12,9 @@
 //     (mrjoin/common.h). A header whose id counts exceed the input must
 //     be rejected before anything is reserved; a block that decodes must
 //     re-encode to exactly the input bytes (varints are canonical).
+//  4. Vector tuple: the input is decoded as a MapReduce vector record.
+//     A length exceeding the input must be rejected before anything is
+//     sized; a tuple that decodes must re-encode to exactly the input.
 #include <cstring>
 #include <string>
 #include <vector>
@@ -167,12 +170,23 @@ void JoinBlockPhase(const uint8_t* data, std::size_t size) {
       hamming::mrjoin::EncodeJoinBlock(block.r_ids, block.s_ids) == bytes);
 }
 
+void VectorTuplePhase(const uint8_t* data, std::size_t size) {
+  const std::vector<uint8_t> bytes(data, data + size);
+  auto tuple = hamming::mrjoin::DecodeVectorTuple(bytes);
+  if (!tuple.ok()) return;
+  // Every double costs eight bytes, so a decoded vector can never be
+  // longer than the input allows.
+  HAMMING_FUZZ_CHECK(tuple->vec.size() * sizeof(double) <= size);
+  HAMMING_FUZZ_CHECK(hamming::mrjoin::EncodeVectorTuple(*tuple) == bytes);
+}
+
 }  // namespace
 
 void RunSerdeFuzzInput(const uint8_t* data, std::size_t size) {
   DecodePhase(data, size);
   RoundTripPhase(data, size);
   JoinBlockPhase(data, size);
+  VectorTuplePhase(data, size);
 }
 
 }  // namespace hamming_fuzz

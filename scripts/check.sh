@@ -5,10 +5,13 @@
 # the MapReduce attempt/speculation layer under ThreadSanitizer (backup
 # attempts, cancel tokens, and the commit race are cross-thread protocols).
 #
-# Each sanitizer also re-runs the MapReduce and fault-tolerance suites
-# with HAMMING_SHUFFLE_BUDGET=65536, which forces every job through the
-# external shuffle's spill/merge paths (file I/O, CRC framing, streaming
-# merge) under a tight 64 KiB memory budget.
+# Each sanitizer also re-runs the MapReduce, fault-tolerance and
+# MapReduce-join suites with HAMMING_SHUFFLE_BUDGET=65536, which forces
+# every job through the external shuffle's spill/merge paths (file I/O,
+# CRC framing, streaming merge) under a tight 64 KiB memory budget. The
+# join suite (MrJoinTest) is there because MRHA Option B's post-join
+# shuffles join blocks, so their decoder's bounds checks run on records
+# read back from spill files.
 #
 # The observability step runs one traced + metered job (bench/trace_demo)
 # and validates both artifacts: the Chrome trace must parse as JSON and
@@ -257,7 +260,7 @@ else
     --gtest_filter='CodeStore.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*'
   echo "==> ASan: MapReduce + external shuffle under a 64 KiB budget"
   HAMMING_SHUFFLE_BUDGET=65536 ./build-asan/tests/hamming_tests \
-    --gtest_filter='MapReduce*:FaultTolerance*:PlanFaultTolerance*:Shuffle*'
+    --gtest_filter='MapReduce*:FaultTolerance*:PlanFaultTolerance*:Shuffle*:MrJoinTest.*'
 fi
 
 if [[ "$SKIP_TSAN" == "1" ]]; then
@@ -271,7 +274,7 @@ else
 'MapReduce*:FaultTolerance*:PlanFaultTolerance*:CancelToken*:ThreadPool*:Concurrency*:Metrics*:TraceJson*:VerticalStore*:Kernels.VerticalScanSharedAcrossThreads:Serving*:ConcurrentIndex*:ChurnStress*:DynamicHAAudit*:Telemetry*'
   echo "==> TSan: MapReduce + external shuffle under a 64 KiB budget"
   HAMMING_SHUFFLE_BUDGET=65536 ./build-tsan/tests/hamming_tests --gtest_filter=\
-'MapReduce*:FaultTolerance*:PlanFaultTolerance*:Shuffle*'
+'MapReduce*:FaultTolerance*:PlanFaultTolerance*:Shuffle*:MrJoinTest.*'
 fi
 
 if [[ "$SKIP_UBSAN" == "1" ]]; then

@@ -37,6 +37,9 @@ class BufferWriter {
   /// \brief Appends raw bytes with no length prefix.
   void PutRaw(const void* data, std::size_t len);
 
+  /// \brief Reserves room for `n` more bytes (an exact size avoids regrowth).
+  void Reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> Release() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }

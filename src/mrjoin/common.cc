@@ -1,5 +1,6 @@
 #include "mrjoin/common.h"
 
+#include <bit>
 #include <limits>
 
 namespace hamming::mrjoin {
@@ -39,13 +40,35 @@ Result<CodeTuple> DecodeCodeTuple(const std::vector<uint8_t>& bytes) {
   return t;
 }
 
-std::vector<uint8_t> EncodeVectorTuple(const VectorTuple& t) {
+namespace {
+
+// Vector records copy a row's doubles straight into (and out of) the
+// record as its fixed64 wire bytes, which are little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "vector records memcpy doubles as little-endian fixed64");
+
+std::size_t VarintBytes(uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+std::vector<uint8_t> EncodeVectorRecord(Table table, TupleId id,
+                                        std::span<const double> vec) {
   BufferWriter w;
-  w.PutVarint64(static_cast<uint64_t>(t.table));
-  w.PutVarint64(t.id);
-  w.PutVarint64(t.vec.size());
-  for (double v : t.vec) w.PutDouble(v);
+  w.Reserve(VarintBytes(static_cast<uint64_t>(table)) + VarintBytes(id) +
+            VarintBytes(vec.size()) + vec.size_bytes());
+  w.PutVarint64(static_cast<uint64_t>(table));
+  w.PutVarint64(id);
+  w.PutVarint64(vec.size());
+  w.PutRaw(vec.data(), vec.size_bytes());
   return w.Release();
+}
+
+}  // namespace
+
+std::vector<uint8_t> EncodeVectorTuple(const VectorTuple& t) {
+  return EncodeVectorRecord(t.table, t.id, t.vec);
 }
 
 Result<VectorTuple> DecodeVectorTuple(const std::vector<uint8_t>& bytes) {
@@ -55,10 +78,23 @@ Result<VectorTuple> DecodeVectorTuple(const std::vector<uint8_t>& bytes) {
   HAMMING_RETURN_NOT_OK(r.GetVarint64(&table));
   HAMMING_RETURN_NOT_OK(r.GetVarint64(&id));
   HAMMING_RETURN_NOT_OK(r.GetVarint64(&n));
+  if (table > static_cast<uint64_t>(Table::kS)) {
+    return Status::IOError("vector record table tag out of range");
+  }
+  if (id > std::numeric_limits<TupleId>::max()) {
+    return Status::IOError("vector record tuple id out of range");
+  }
+  // Checked before sizing anything: a corrupt length must not allocate.
+  if (n > r.remaining() / sizeof(double)) {
+    return Status::IOError("vector record length exceeds its bytes");
+  }
+  if (n * sizeof(double) != r.remaining()) {
+    return Status::IOError("trailing bytes after vector record");
+  }
   t.table = static_cast<Table>(table);
   t.id = static_cast<TupleId>(id);
   t.vec.resize(n);
-  for (double& v : t.vec) HAMMING_RETURN_NOT_OK(r.GetDouble(&v));
+  HAMMING_RETURN_NOT_OK(r.GetRaw(t.vec.data(), n * sizeof(double)));
   return t;
 }
 
@@ -130,12 +166,8 @@ std::vector<mr::Record> MatrixToRecords(const FloatMatrix& data,
   std::vector<mr::Record> out;
   out.reserve(data.rows());
   for (std::size_t i = 0; i < data.rows(); ++i) {
-    VectorTuple t;
-    t.table = table;
-    t.id = static_cast<TupleId>(i);
-    auto row = data.Row(i);
-    t.vec.assign(row.begin(), row.end());
-    out.push_back({{}, EncodeVectorTuple(t)});
+    out.push_back(
+        {{}, EncodeVectorRecord(table, static_cast<TupleId>(i), data.Row(i))});
   }
   return out;
 }

@@ -1,6 +1,6 @@
 // Record codecs shared by the MapReduce join plans.
 //
-// Two record families cross the shuffle:
+// Two record families carry tuples across the shuffle:
 //  * code records — (table tag, tuple id, binary code). The hash-based
 //    plans (PMH, MRHA) ship these; their size is independent of the data
 //    dimensionality, which is why Figure 7 shows them an order of
@@ -9,12 +9,16 @@
 //    PGBJ must ship these because it joins in the original metric space;
 //    its shuffle grows with d and with replication.
 //
-// A third family is final reduce output and never crosses the shuffle:
+// A third family carries answers:
 //  * join blocks — (R ids, S ids), standing for their cross product. The
 //    Hamming plans emit one block per reduce group (MRHA Option B: one per
 //    qualifying code) or per probe (MRHA Option A, PMH: the probe's
 //    matches × {s}), so an answer of millions of pairs leaves the
 //    reducers as thousands of records and CollectJoinPairs expands it.
+//    MRHA Option B also shuffles partial blocks through its post-join:
+//    each R tuple as (code, {r} × {}) and each join partition's S ids
+//    for a qualifying code as (code, {} × S ids); the post-join reducer
+//    concatenates a code's blocks into that code's answer block.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +85,11 @@ struct VectorTuple {
 std::vector<uint8_t> EncodeCodeTuple(const CodeTuple& t);
 Result<CodeTuple> DecodeCodeTuple(const std::vector<uint8_t>& bytes);
 
-/// \brief Encodes/decodes a VectorTuple into a record value.
+/// \brief Encodes/decodes a VectorTuple into a record value: table tag,
+/// id and length as varints, then the doubles as fixed64 (bulk-copied).
+/// The decoder returns IOError for a table tag other than R/S, an id past
+/// TupleId's range, a length exceeding the bytes left (checked before
+/// anything is sized) and trailing bytes.
 std::vector<uint8_t> EncodeVectorTuple(const VectorTuple& t);
 Result<VectorTuple> DecodeVectorTuple(const std::vector<uint8_t>& bytes);
 

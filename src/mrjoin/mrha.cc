@@ -1,6 +1,7 @@
 #include "mrjoin/mrha.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "observability/stopwatch.h"
 #include "dataset/sampling.h"
@@ -135,6 +136,11 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
   HAMMING_ASSIGN_OR_RETURN(mr::JobResult build_result,
                            RunJob(build_job, cluster));
   plan_counters.Merge(build_result.counters);
+  // R's encoded splits: Option B's post-join maps them again, so they are
+  // encoded once; otherwise they are released with the job.
+  std::vector<std::vector<mr::Record>> r_splits;
+  if (leafless) r_splits = std::move(build_job.input_splits);
+  build_job.input_splits = {};
 
   // Driver-side merge of the local indexes into the global HA-Index.
   DynamicHAIndex global_index(index_opts);
@@ -173,7 +179,9 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
   };
 
   // Per-probe H-Search work histograms ("query.candidates", ...) when the
-  // caller attached a metrics registry; each S tuple's search is one sample.
+  // caller attached a metrics registry; each H-Search run is one sample
+  // (Option A: one per S tuple; Option B: one per distinct probe code of
+  // a reduce group).
   obs::MetricsRegistry* metrics = opts.exec.metrics;
   const obs::QueryStatsHistograms query_hists =
       obs::QueryStatsHistograms::Register(metrics);
@@ -221,37 +229,59 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
     HAMMING_ASSIGN_OR_RETURN(mr::JobResult join_result,
                              RunJob(join_job, cluster));
     plan_counters.Merge(join_result.counters);
+    join_job.input_splits = {};
     result.answer_blocks = join_result.counters.Get(mr::kReduceOutputRecords);
     HAMMING_ASSIGN_OR_RETURN(result.pairs,
                              CollectJoinPairs(join_result.outputs));
   } else {
-    // Option B: reducers emit (qualifying R code, s id); a post-processing
-    // hash join resolves codes to R tuple ids.
+    // Option B: reducers emit one (qualifying R code, {} × S ids) block
+    // per qualifying code; a post-processing hash join resolves codes to
+    // R tuple ids.
     join_job.reduce_fn =
         [index_ptr, h, metrics, query_hists](
             const std::vector<uint8_t>&,
             const std::vector<std::vector<uint8_t>>& values,
             mr::Emitter* out) -> Status {
+      // Qualifying codes in first-seen order, each with the S ids that
+      // reach it in value order. A probe code is searched once; a repeat
+      // appends its id to the slots that first search filled.
+      std::vector<BinaryCode> qualifying;
+      std::vector<std::vector<TupleId>> s_ids;
+      std::unordered_map<BinaryCode, std::size_t, BinaryCodeHash> slot_of;
+      std::unordered_map<BinaryCode, std::vector<std::size_t>, BinaryCodeHash>
+          slots_of_probe;
       for (const auto& v : values) {
         HAMMING_ASSIGN_OR_RETURN(CodeTuple t, DecodeCodeTuple(v));
-        obs::QueryStats qstats;
-        HAMMING_ASSIGN_OR_RETURN(
-            std::vector<BinaryCode> matches,
-            index_ptr->SearchCodes(t.code, h,
-                                   metrics != nullptr ? &qstats : nullptr));
-        if (metrics != nullptr) query_hists.Observe(metrics, qstats);
-        const std::vector<uint8_t> value = EncodeCodeTuple(t);
-        for (const BinaryCode& code : matches) {
-          BufferWriter w;
-          code.Serialize(&w);
-          out->Emit(w.Release(), value);
+        auto [probe, fresh] = slots_of_probe.try_emplace(t.code);
+        if (fresh) {
+          obs::QueryStats qstats;
+          HAMMING_ASSIGN_OR_RETURN(
+              std::vector<BinaryCode> matches,
+              index_ptr->SearchCodes(t.code, h,
+                                     metrics != nullptr ? &qstats : nullptr));
+          if (metrics != nullptr) query_hists.Observe(metrics, qstats);
+          for (BinaryCode& code : matches) {
+            auto [slot, added] = slot_of.try_emplace(code, qualifying.size());
+            if (added) {
+              qualifying.push_back(std::move(code));
+              s_ids.emplace_back();
+            }
+            probe->second.push_back(slot->second);
+          }
         }
+        for (std::size_t slot : probe->second) s_ids[slot].push_back(t.id);
+      }
+      for (std::size_t i = 0; i < qualifying.size(); ++i) {
+        BufferWriter w;
+        qualifying[i].Serialize(&w);
+        out->Emit(w.Release(), EncodeJoinBlock({}, s_ids[i]));
       }
       return Status::OK();
     };
     HAMMING_ASSIGN_OR_RETURN(mr::JobResult join_result,
                              RunJob(join_job, cluster));
     plan_counters.Merge(join_result.counters);
+    join_job.input_splits = {};
 
     // Post-join (MapReduce hash-join of Section 5.3 / [23]): R tuples are
     // re-hashed to codes on the map side and matched to qualifying codes
@@ -260,51 +290,49 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
     post_job.name = "mrha-postjoin";
     // Keys are serialized codes; the default hash partitioner routes them.
     post_job.options = PlanJobOptions(opts, nullptr);
-    post_job.input_splits = mr::SplitEvenly(
-        MatrixToRecords(r_data, Table::kR), cluster->total_slots());
-    // Qualifying (code, s) records from the join job feed extra splits.
+    post_job.input_splits = std::move(r_splits);
+    // The join job's (code, {} × S ids) blocks feed extra splits.
     for (auto& part : join_result.outputs) {
       if (!part.empty()) post_job.input_splits.push_back(std::move(part));
     }
     post_job.map_fn = [hash_ptr](const mr::Record& rec,
                                  mr::Emitter* out) -> Status {
-      if (rec.key.empty()) {
-        // R-side vector record: key by its code.
-        HAMMING_ASSIGN_OR_RETURN(VectorTuple t, DecodeVectorTuple(rec.value));
-        CodeTuple ct{t.table, t.id, hash_ptr->Hash(t.vec)};
-        BufferWriter w;
-        ct.code.Serialize(&w);
-        out->Emit(w.Release(), EncodeCodeTuple(ct));
-      } else {
-        // Already keyed (code, s-tuple) record from phase 3.
+      if (!rec.key.empty()) {
+        // Already keyed S-side block from phase 3.
         out->Emit(rec.key, rec.value);
+        return Status::OK();
       }
+      // R-side vector record: a one-id R block keyed by its code.
+      HAMMING_ASSIGN_OR_RETURN(VectorTuple t, DecodeVectorTuple(rec.value));
+      BufferWriter w;
+      hash_ptr->Hash(t.vec).Serialize(&w);
+      out->Emit(w.Release(), EncodeJoinBlock({&t.id, 1}, {}));
       return Status::OK();
     };
     post_job.reduce_fn =
         [](const std::vector<uint8_t>&,
            const std::vector<std::vector<uint8_t>>& values,
            mr::Emitter* out) -> Status {
-      std::vector<TupleId> r_ids;
-      std::vector<TupleId> s_ids;
+      JoinBlock part;
+      JoinBlock group;
       for (const auto& v : values) {
-        HAMMING_ASSIGN_OR_RETURN(CodeTuple t, DecodeCodeTuple(v));
-        if (t.table == Table::kR) {
-          r_ids.push_back(t.id);
-        } else {
-          s_ids.push_back(t.id);
-        }
+        HAMMING_RETURN_NOT_OK(DecodeJoinBlock(v, &part));
+        group.r_ids.insert(group.r_ids.end(), part.r_ids.begin(),
+                           part.r_ids.end());
+        group.s_ids.insert(group.s_ids.end(), part.s_ids.begin(),
+                           part.s_ids.end());
       }
       // One block per code group with both sides: the group's answer is
       // exactly r_ids × s_ids.
-      if (!r_ids.empty() && !s_ids.empty()) {
-        out->Emit({}, EncodeJoinBlock(r_ids, s_ids));
+      if (!group.r_ids.empty() && !group.s_ids.empty()) {
+        out->Emit({}, EncodeJoinBlock(group.r_ids, group.s_ids));
       }
       return Status::OK();
     };
     HAMMING_ASSIGN_OR_RETURN(mr::JobResult post_result,
                              RunJob(post_job, cluster));
     plan_counters.Merge(post_result.counters);
+    post_job.input_splits = {};
     result.answer_blocks = post_result.counters.Get(mr::kReduceOutputRecords);
     HAMMING_ASSIGN_OR_RETURN(result.pairs,
                              CollectJoinPairs(post_result.outputs));

@@ -13,10 +13,12 @@
 // Phase 3 (second MapReduce job): the global index is broadcast through
 // the distributed cache. Option A (small R) broadcasts the index *with*
 // leaf tuple-id tables and reducers emit each S tuple's matches directly
-// from H-Search. Option B (large R) broadcasts a leafless index; reducers
-// emit (s, qualifying R code) and a post-processing hash join (a third
-// MapReduce job) resolves codes to R tuple ids. Either way the answer
-// leaves the reducers as join blocks (mrjoin/common.h).
+// from H-Search. Option B (large R) broadcasts a leafless index; each
+// reducer H-Searches every distinct S code of its partition once and
+// emits one (qualifying R code, S ids) record per qualifying code, and a
+// post-processing hash join (a third MapReduce job) resolves codes to R
+// tuple ids. Either way the answer leaves the reducers as join blocks
+// (mrjoin/common.h).
 #pragma once
 
 #include <memory>

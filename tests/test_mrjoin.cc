@@ -15,6 +15,7 @@
 #include "mrjoin/mrselect.h"
 #include "mrjoin/pgbj.h"
 #include "mrjoin/pmh.h"
+#include "observability/metrics.h"
 
 namespace hamming::mrjoin {
 namespace {
@@ -46,7 +47,15 @@ class MrJoinTest : public ::testing::Test {
   std::unique_ptr<SpectralHashing> TrainLikeMrha(std::size_t code_bits,
                                                  double sample_rate,
                                                  uint64_t seed) {
-    // Reproduce the MRHA preprocessing exactly.
+    SpectralHashingOptions opts;
+    opts.code_bits = code_bits;
+    return SpectralHashing::Train(MrhaSample(sample_rate, seed), opts)
+        .ValueOrDie();
+  }
+
+  // The R-then-S sample MRHA's preprocessing draws (it trains the hash
+  // and picks the pivots from it).
+  FloatMatrix MrhaSample(double sample_rate, uint64_t seed) {
     Rng rng(seed);
     std::size_t r_n = std::max<std::size_t>(
         2, static_cast<std::size_t>(sample_rate * r_data_.rows()));
@@ -64,9 +73,17 @@ class MrJoinTest : public ::testing::Test {
       std::copy(src.begin(), src.end(),
                 sample.MutableRow(r_ids.size() + i).begin());
     }
-    SpectralHashingOptions opts;
-    opts.code_bits = code_bits;
-    return SpectralHashing::Train(sample, opts).ValueOrDie();
+    return sample;
+  }
+
+  // Makes S three copies of R under fresh ids (S tuple j is R tuple
+  // j % |R|), so every S code repeats within its partition.
+  void RepeatRAsS() {
+    s_data_ = FloatMatrix(3 * r_data_.rows(), r_data_.cols());
+    for (std::size_t j = 0; j < s_data_.rows(); ++j) {
+      auto src = r_data_.Row(j % r_data_.rows());
+      std::copy(src.begin(), src.end(), s_data_.MutableRow(j).begin());
+    }
   }
 
   FloatMatrix r_data_;
@@ -158,6 +175,74 @@ TEST(JoinBlockCodec, RejectsTruncatedOrOversizedHeaders) {
   }
 }
 
+TEST(VectorTupleCodec, RoundTripsBitExactly) {
+  const std::vector<VectorTuple> tuples = {
+      {Table::kR, 0, {}},
+      {Table::kS, 7, {1.5}},
+      {Table::kR, std::numeric_limits<TupleId>::max(),
+       {-0.0, 1e-308, -3.25, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}},
+  };
+  for (const VectorTuple& t : tuples) {
+    const std::vector<uint8_t> bytes = EncodeVectorTuple(t);
+    EXPECT_EQ(bytes.capacity(), bytes.size());  // reserved exactly
+    auto got = DecodeVectorTuple(bytes);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->table, t.table);
+    EXPECT_EQ(got->id, t.id);
+    ASSERT_EQ(got->vec.size(), t.vec.size());
+    EXPECT_EQ(EncodeVectorTuple(*got), bytes);  // NaN and -0.0 bit-exact
+  }
+  // Wire format: varint tag, id and length, then little-endian fixed64.
+  BufferWriter w;
+  w.PutVarint64(1);
+  w.PutVarint64(300);
+  w.PutVarint64(2);
+  w.PutDouble(2.5);
+  w.PutDouble(-1.0);
+  EXPECT_EQ(EncodeVectorTuple({Table::kS, 300, {2.5, -1.0}}), w.buffer());
+}
+
+TEST(VectorTupleCodec, MatrixRecordsEncodeEachRow) {
+  FloatMatrix m(3, 2);
+  for (std::size_t i = 0; i < 3; ++i) {
+    m.At(i, 0) = static_cast<double>(i);
+    m.At(i, 1) = -0.5 * static_cast<double>(i);
+  }
+  const std::vector<mr::Record> records = MatrixToRecords(m, Table::kS);
+  ASSERT_EQ(records.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(records[i].key.empty());
+    const auto row = m.Row(i);
+    EXPECT_EQ(records[i].value,
+              EncodeVectorTuple({Table::kS, static_cast<TupleId>(i),
+                                 {row.begin(), row.end()}}));
+  }
+}
+
+TEST(VectorTupleCodec, RejectsTruncatedOversizedOrTrailingInput) {
+  const std::vector<uint8_t> valid =
+      EncodeVectorTuple({Table::kR, 5, {1.0, 2.0}});
+  std::vector<uint8_t> truncated = valid;
+  truncated.pop_back();
+  std::vector<uint8_t> trailing = valid;
+  trailing.push_back(0);
+  const std::vector<std::vector<uint8_t>> bad = {
+      {},                  // no header at all
+      {0x00, 0x05},        // length missing
+      truncated,           // half a double short
+      trailing,            // a byte past the last double
+      {0x00, 0x05, 0xff, 0xff, 0xff, 0xff, 0x0f},  // length ~ 4G doubles
+      {0x00, 0x05, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+       0x01},              // length 2^64 - 1: n * 8 would wrap
+      {0x02, 0x05, 0x00},  // table tag neither R nor S
+      {0x00, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00},  // id > 2^32 - 1
+  };
+  for (const auto& bytes : bad) {
+    EXPECT_FALSE(DecodeVectorTuple(bytes).ok());
+  }
+}
+
 TEST(MrSelectCollect, RejectsAQueryPositionPastTheBatch) {
   const std::vector<TupleId> ids = {8, 3}, q1 = {1}, q5 = {5};
   std::vector<std::vector<mr::Record>> outputs(2);
@@ -229,6 +314,92 @@ TEST_F(MrJoinTest, AnswerBlocksCountMatchedGroups) {
   EXPECT_EQ(b->answer_blocks, static_cast<int64_t>(matched_codes.size()));
   EXPECT_EQ(a->pairs.size(), pairs.size());
   EXPECT_EQ(b->pairs.size(), pairs.size());
+}
+
+TEST_F(MrJoinTest, OptionBSearchesEachRepeatedProbeCodeOnce) {
+  RepeatRAsS();
+  MrhaOptions opts;
+  opts.num_partitions = 4;
+  opts.h = 3;
+  opts.option = MrhaOption::kA;
+  auto a = RunMrhaJoin(r_data_, s_data_, opts, cluster_.get());
+  ASSERT_TRUE(a.ok()) << a.status();
+  obs::MetricsRegistry registry;
+  opts.option = MrhaOption::kB;
+  opts.exec.metrics = &registry;
+  auto b = RunMrhaJoin(r_data_, s_data_, opts, cluster_.get());
+  ASSERT_TRUE(b.ok()) << b.status();
+
+  auto b_pairs = b->pairs;
+  NormalizePairs(&b_pairs);
+  EXPECT_EQ(b_pairs.size(), b->pairs.size());  // no duplicate pairs
+  auto a_pairs = a->pairs;
+  NormalizePairs(&a_pairs);
+  EXPECT_EQ(b_pairs, a_pairs);
+  EXPECT_EQ(b_pairs, CentralizedTruth(opts.code_bits, opts.h,
+                                      opts.sample_rate, opts.seed));
+
+  // One H-Search per distinct S code (a code lives in one partition).
+  auto hash = TrainLikeMrha(opts.code_bits, opts.sample_rate, opts.seed);
+  const auto s_codes = hash->HashAll(s_data_);
+  const std::set<BinaryCode> distinct(s_codes.begin(), s_codes.end());
+  ASSERT_LT(distinct.size(), s_codes.size());
+  const auto snap = registry.Snapshot();
+  const auto it = snap.histograms.find("query.candidates");
+  ASSERT_NE(it, snap.histograms.end());
+  EXPECT_EQ(it->second.count, distinct.size());
+}
+
+// Records the cluster's cumulative reduce output records as each job's
+// map phase starts, so consecutive entries bracket one job.
+class ReduceOutputsAtJobStart final : public mr::JobObserver {
+ public:
+  explicit ReduceOutputsAtJobStart(mr::Cluster* cluster) : cluster_(cluster) {}
+  void OnEvent(const mr::JobEvent& event) override {
+    if (event.type == mr::JobEventType::kPhaseStart && event.detail == "map") {
+      at_start.push_back(
+          cluster_->cumulative_counters()->Get(mr::kReduceOutputRecords));
+    }
+  }
+  std::vector<int64_t> at_start;
+
+ private:
+  mr::Cluster* cluster_;
+};
+
+TEST_F(MrJoinTest, OptionBJoinEmitsOneRecordPerPartitionAndCode) {
+  RepeatRAsS();
+  MrhaOptions opts;
+  opts.num_partitions = 4;
+  opts.h = 3;
+  opts.option = MrhaOption::kB;
+  mr::Cluster cluster({4, 2, 4});
+  ReduceOutputsAtJobStart observer(&cluster);
+  opts.exec.observer = &observer;
+  auto b = RunMrhaJoin(r_data_, s_data_, opts, &cluster);
+  ASSERT_TRUE(b.ok()) << b.status();
+  ASSERT_EQ(observer.at_start.size(), 3u);  // build, join, post-join
+  const int64_t join_outputs = observer.at_start[2] - observer.at_start[1];
+
+  // The join job's partition of an S tuple is its code's pivot range; its
+  // qualifying codes are the distinct R codes within h.
+  auto hash = TrainLikeMrha(opts.code_bits, opts.sample_rate, opts.seed);
+  const GrayPivots pivots = GrayPivots::FromSample(
+      hash->HashAll(MrhaSample(opts.sample_rate, opts.seed)),
+      opts.num_partitions);
+  const auto r_codes = hash->HashAll(r_data_);
+  const auto s_codes = hash->HashAll(s_data_);
+  std::set<std::pair<std::size_t, BinaryCode>> groups;
+  std::set<std::pair<TupleId, BinaryCode>> matches;
+  for (std::size_t s = 0; s < s_codes.size(); ++s) {
+    for (const BinaryCode& r_code : r_codes) {
+      if (s_codes[s].Distance(r_code) > opts.h) continue;
+      groups.insert({pivots.PartitionOf(s_codes[s]), r_code});
+      matches.insert({static_cast<TupleId>(s), r_code});
+    }
+  }
+  ASSERT_LT(groups.size(), matches.size());
+  EXPECT_EQ(join_outputs, static_cast<int64_t>(groups.size()));
 }
 
 TEST_F(MrJoinTest, MrhaOptionBBroadcastsLessThanOptionA) {
