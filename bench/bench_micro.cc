@@ -329,12 +329,9 @@ VerticalRow MeasureVertical(std::size_t bits, std::size_t r, std::size_t n) {
 struct MapJobRow {
   std::size_t records = 0;
   std::size_t shuffle_records = 0;
-  double legacy_map_seconds = 0;
   double batched_map_seconds = 0;
   double metered_map_seconds = 0;  // batched counters + metrics registry
-  double legacy_shuffle_seconds = 0;
   double batched_shuffle_seconds = 0;
-  bool counters_identical = false;
 };
 
 MapJobRow MeasureMapJob() {
@@ -359,41 +356,29 @@ MapJobRow MeasureMapJob() {
   MapJobRow row;
   row.records = kRecords;
   row.shuffle_records = kRecords;
-  mr::Counters legacy_counters, batched_counters;
   obs::MetricsRegistry metrics;
   // Alternate modes, keep each mode's best of three (first runs warm the
-  // allocator and page cache). Mode 2 runs batched counters with a live
-  // metrics registry attached — the measured cost of the observability
-  // layer on the map-heavy hot path (compare against a
-  // -DHAMMING_DISABLE_METRICS build for the compile-out baseline).
-  enum { kLegacy = 0, kBatched = 1, kMetered = 2 };
+  // allocator and page cache). The metered mode attaches a live metrics
+  // registry — the measured cost of the observability layer on the
+  // map-heavy hot path (compare against a -DHAMMING_DISABLE_METRICS build
+  // for the compile-out baseline).
   for (int round = 0; round < 3; ++round) {
-    for (int mode : {kLegacy, kBatched, kMetered}) {
+    for (bool metered : {false, true}) {
       mr::Cluster cluster;
-      spec.options.legacy_contended_counters = (mode == kLegacy);
-      spec.options.metrics = (mode == kMetered) ? &metrics : nullptr;
+      spec.options.metrics = metered ? &metrics : nullptr;
       auto result = mr::RunJob(spec, &cluster);
       if (!result.ok()) continue;
-      double& map_best = mode == kLegacy    ? row.legacy_map_seconds
-                         : mode == kBatched ? row.batched_map_seconds
-                                            : row.metered_map_seconds;
+      double& map_best =
+          metered ? row.metered_map_seconds : row.batched_map_seconds;
       if (map_best == 0 || result->map_seconds < map_best) {
         map_best = result->map_seconds;
       }
-      if (mode != kMetered) {
-        double& shuffle_best = mode == kLegacy
-                                   ? row.legacy_shuffle_seconds
-                                   : row.batched_shuffle_seconds;
-        if (shuffle_best == 0 || result->shuffle_seconds < shuffle_best) {
-          shuffle_best = result->shuffle_seconds;
-        }
-        (mode == kLegacy ? legacy_counters : batched_counters) =
-            result->counters;
+      if (!metered && (row.batched_shuffle_seconds == 0 ||
+                       result->shuffle_seconds < row.batched_shuffle_seconds)) {
+        row.batched_shuffle_seconds = result->shuffle_seconds;
       }
     }
   }
-  row.counters_identical =
-      legacy_counters.Snapshot() == batched_counters.Snapshot();
   return row;
 }
 
@@ -502,23 +487,14 @@ int EmitJson(const std::string& path) {
   }
   std::fprintf(f, "  ],\n");
   MapJobRow job = MeasureMapJob();
-  double map_speedup = job.legacy_map_seconds / job.batched_map_seconds;
-  std::fprintf(
-      f,
-      "  \"map_job\": {\"records\": %zu, "
-      "\"legacy_map_seconds\": %.4f, \"batched_map_seconds\": %.4f, "
-      "\"legacy_map_records_per_sec\": %.3e, "
-      "\"batched_map_records_per_sec\": %.3e, "
-      "\"map_speedup\": %.2f, "
-      "\"legacy_shuffle_records_per_sec\": %.3e, "
-      "\"batched_shuffle_records_per_sec\": %.3e, "
-      "\"counter_totals_identical\": %s},\n",
-      job.records, job.legacy_map_seconds, job.batched_map_seconds,
-      job.records / job.legacy_map_seconds,
-      job.records / job.batched_map_seconds, map_speedup,
-      job.shuffle_records / job.legacy_shuffle_seconds,
-      job.shuffle_records / job.batched_shuffle_seconds,
-      job.counters_identical ? "true" : "false");
+  std::fprintf(f,
+               "  \"map_job\": {\"records\": %zu, "
+               "\"batched_map_seconds\": %.4f, "
+               "\"batched_map_records_per_sec\": %.3e, "
+               "\"batched_shuffle_records_per_sec\": %.3e},\n",
+               job.records, job.batched_map_seconds,
+               job.records / job.batched_map_seconds,
+               job.shuffle_records / job.batched_shuffle_seconds);
   // Observability overhead on the same job: batched counters with a live
   // MetricsRegistry attached vs none. Compare metered_map_seconds across
   // a normal and a -DHAMMING_DISABLE_METRICS build for the compile-out
@@ -537,11 +513,7 @@ int EmitJson(const std::string& path) {
                metrics_overhead_pct);
   std::fprintf(f, "}\n");
   std::fclose(f);
-  std::fprintf(stderr,
-               "map-heavy job: legacy %.3fs, batched %.3fs (%.2fx), "
-               "counters identical: %s\n",
-               job.legacy_map_seconds, job.batched_map_seconds, map_speedup,
-               job.counters_identical ? "yes" : "NO");
+  std::fprintf(stderr, "map-heavy job: %.3fs\n", job.batched_map_seconds);
   std::fprintf(stderr,
                "metrics (compiled %s): metered %.3fs vs %.3fs baseline "
                "(%+.2f%%)\n-> %s\n",

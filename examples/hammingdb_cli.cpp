@@ -8,6 +8,7 @@
 //   $ printf '001001010\n101001010\n' > /tmp/codes.txt
 //   $ ./build/examples/hammingdb_cli build /tmp/codes.txt /tmp/idx.hdb
 //   $ ./build/examples/hammingdb_cli query /tmp/idx.hdb 101100010 3
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -103,22 +104,28 @@ int Query(const char* index_path, const char* code_str, const char* h_str) {
     return 1;
   }
   obs::Stopwatch watch;
-  auto result =
-      index->SearchWithDistances(*code, static_cast<std::size_t>(h));
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+  QueryRequest req = QueryRequest::Range(*code, static_cast<std::size_t>(h));
+  QueryResponse resp;
+  Status st = index->SearchBatch({&req, 1}, {&resp, 1});
+  if (st.ok()) st = resp.status;
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
   double ms = watch.ElapsedMillis();
-  std::sort(result->begin(), result->end(),
+  std::vector<std::pair<TupleId, uint32_t>> result;
+  for (std::size_t i = 0; i < resp.ids.size(); ++i) {
+    result.emplace_back(resp.ids[i], resp.distances[i]);
+  }
+  std::sort(result.begin(), result.end(),
             [](const auto& a, const auto& b) {
               if (a.second != b.second) return a.second < b.second;
               return a.first < b.first;
             });
-  for (const auto& [id, dist] : *result) {
+  for (const auto& [id, dist] : result) {
     std::printf("%u\t%u\n", id, dist);
   }
-  std::fprintf(stderr, "%zu matches in %.3f ms\n", result->size(), ms);
+  std::fprintf(stderr, "%zu matches in %.3f ms\n", result.size(), ms);
   return 0;
 }
 

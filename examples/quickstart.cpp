@@ -3,6 +3,7 @@
 // paper, in a dozen lines of library code.
 //
 //   $ ./build/examples/quickstart
+#include <algorithm>
 #include <cstdio>
 
 #include "index/dynamic_ha_index.h"
@@ -32,7 +33,7 @@ int main() {
   }
 
   // Example 1: h-select(tq, S) with tq = "101100010" and h = 3, through
-  // the batch-first query surface (a batch of one).
+  // the batch query surface (a batch of one).
   auto tq = BinaryCode::FromString("101100010").ValueOrDie();
   hamming::QueryRequest req = hamming::QueryRequest::Range(tq, /*radius=*/3);
   hamming::QueryResponse resp;
@@ -44,7 +45,8 @@ int main() {
   }
 
   std::printf("h-select(tq=%s, h=3) = {", tq.ToString().c_str());
-  auto ids = hamming::Sorted(resp.ids);
+  std::vector<hamming::TupleId> ids = resp.ids;
+  std::sort(ids.begin(), ids.end());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     std::printf("%st%u", i ? ", " : "", ids[i]);
   }

@@ -1,6 +1,6 @@
 // Fuzz harness for the shuffle serialization layer (common/serde.h).
 //
-// Four phases per input:
+// Five phases per input:
 //  1. Decode: the input bytes are treated as a hostile buffer and read
 //     through every BufferReader getter in a rotating order. Every
 //     getter must either succeed or return a Status — out-of-bounds
@@ -15,6 +15,10 @@
 //  4. Vector tuple: the input is decoded as a MapReduce vector record.
 //     A length exceeding the input must be rejected before anything is
 //     sized; a tuple that decodes must re-encode to exactly the input.
+//  5. Code tuple: the input is decoded as a MapReduce code record. A bad
+//     table tag, an id past TupleId, a corrupt code or trailing bytes
+//     must be rejected; a tuple that decodes must re-encode to exactly
+//     the input.
 #include <cstring>
 #include <string>
 #include <vector>
@@ -180,6 +184,13 @@ void VectorTuplePhase(const uint8_t* data, std::size_t size) {
   HAMMING_FUZZ_CHECK(hamming::mrjoin::EncodeVectorTuple(*tuple) == bytes);
 }
 
+void CodeTuplePhase(const uint8_t* data, std::size_t size) {
+  const std::vector<uint8_t> bytes(data, data + size);
+  auto tuple = hamming::mrjoin::DecodeCodeTuple(bytes);
+  if (!tuple.ok()) return;
+  HAMMING_FUZZ_CHECK(hamming::mrjoin::EncodeCodeTuple(*tuple) == bytes);
+}
+
 }  // namespace
 
 void RunSerdeFuzzInput(const uint8_t* data, std::size_t size) {
@@ -187,6 +198,7 @@ void RunSerdeFuzzInput(const uint8_t* data, std::size_t size) {
   RoundTripPhase(data, size);
   JoinBlockPhase(data, size);
   VectorTuplePhase(data, size);
+  CodeTuplePhase(data, size);
 }
 
 }  // namespace hamming_fuzz

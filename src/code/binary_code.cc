@@ -138,7 +138,13 @@ Status BinaryCode::Deserialize(BufferReader* r, BinaryCode* out) {
     HAMMING_RETURN_NOT_OK(r->GetRaw(&byte, 1));
     code.words_[b / 8] |= static_cast<uint64_t>(byte) << (56 - 8 * (b % 8));
   }
+  // The writer zeroes the bits past nbits; a set one is corruption, and
+  // accepting it would make the encoding non-canonical.
+  const std::array<uint64_t, kWords> raw = code.words_;
   code.MaskTail();
+  if (code.words_ != raw) {
+    return Status::IOError("binary code padding bits set");
+  }
   *out = code;
   return Status::OK();
 }

@@ -11,67 +11,44 @@ namespace hamming {
 // Snapshot: immutable reads over (base, delta, tombstones)
 // ---------------------------------------------------------------------------
 
-Result<std::vector<TupleId>> ConcurrentHAIndex::Snapshot::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  HAMMING_ASSIGN_OR_RETURN(auto pairs, SearchWithDistances(query, h, stats));
-  std::vector<TupleId> out;
-  out.reserve(pairs.size());
-  for (const auto& [id, dist] : pairs) out.push_back(id);
-  return out;
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>>
-ConcurrentHAIndex::Snapshot::SearchWithDistances(const BinaryCode& query,
-                                                 std::size_t h,
-                                                 obs::QueryStats* stats) const {
-  HAMMING_ASSIGN_OR_RETURN(auto out,
-                           base_->SearchWithDistances(query, h, stats));
-  // Deletes against the frozen base are tombstones; filter them out
-  // before appending delta matches so a reinserted id cannot appear
-  // twice (its tombstone hides the base copy, the delta carries the
-  // live one).
-  if (!tombstones_.empty()) {
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (tombstones_.count(out[i].first) == 0) out[kept++] = out[i];
-    }
-    out.resize(kept);
-  }
-  std::vector<uint32_t> dists;
-  kernels::BatchDistance(query, insert_store_, &dists);
-  for (std::size_t i = 0; i < dists.size(); ++i) {
-    if (dists[i] <= h) out.emplace_back(inserts_[i].first, dists[i]);
-  }
-  if (stats != nullptr) {
-    ++stats->kernel_batch_calls;
-    stats->candidates_generated += inserts_.size();
-    stats->exact_distance_computations += inserts_.size();
-    stats->results += out.size();
-  }
-  return out;
-}
-
 Status ConcurrentHAIndex::Snapshot::SearchBatch(
     std::span<const QueryRequest> requests,
     std::span<QueryResponse> responses) const {
-  HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
+  HAMMING_RETURN_NOT_OK(base_->SearchBatch(requests, responses));
+  std::vector<uint32_t> dists;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     QueryResponse& resp = responses[i];
-    resp.Clear();
-    auto got =
-        SearchWithDistances(requests[i].code, requests[i].h, &resp.stats);
-    if (!got.ok()) {
-      resp.status = got.status();
-      continue;
+    if (!resp.status.ok()) continue;
+    // Deletes against the frozen base are tombstones; filter them out
+    // before appending delta matches so a reinserted id cannot appear
+    // twice (its tombstone hides the base copy, the delta carries the
+    // live one).
+    const std::size_t base_results = resp.ids.size();
+    if (!tombstones_.empty()) {
+      std::size_t kept = 0;
+      for (std::size_t j = 0; j < resp.ids.size(); ++j) {
+        if (tombstones_.count(resp.ids[j]) == 0) {
+          resp.ids[kept] = resp.ids[j];
+          resp.distances[kept] = resp.distances[j];
+          ++kept;
+        }
+      }
+      resp.ids.resize(kept);
+      resp.distances.resize(kept);
     }
-    auto pairs = std::move(got).ValueOrDie();
-    resp.ids.reserve(pairs.size());
-    resp.distances.reserve(pairs.size());
-    for (const auto& [id, dist] : pairs) {
-      resp.ids.push_back(id);
-      resp.distances.push_back(dist);
+    kernels::BatchDistance(requests[i].code, insert_store_, &dists);
+    for (std::size_t j = 0; j < dists.size(); ++j) {
+      if (dists[j] <= requests[i].h) {
+        resp.ids.push_back(inserts_[j].first);
+        resp.distances.push_back(dists[j]);
+      }
     }
-    resp.has_distances = true;
+    ++resp.stats.kernel_batch_calls;
+    resp.stats.candidates_generated += inserts_.size();
+    resp.stats.exact_distance_computations += inserts_.size();
+    // The base counted its own matches; count the final answer instead.
+    resp.stats.results -= base_results;
+    resp.stats.results += resp.ids.size();
   }
   return Status::OK();
 }
@@ -79,12 +56,11 @@ Status ConcurrentHAIndex::Snapshot::SearchBatch(
 MemoryBreakdown ConcurrentHAIndex::Snapshot::Memory() const {
   MemoryBreakdown mb = base_->Memory();
   // The delta payload is leaf-level (stored codes and their kernel
-  // mirrors); tombstones are internal structure.
+  // store); tombstones are internal structure.
   for (const auto& [id, code] : inserts_) {
     mb.leaf_bytes += sizeof(TupleId) + code.PackedBytes();
   }
-  mb.leaf_bytes +=
-      insert_store_.BufferBytes() + insert_vstore_.BufferBytes();
+  mb.leaf_bytes += insert_store_.BufferBytes();
   mb.internal_bytes += tombstones_.size() * sizeof(TupleId);
   return mb;
 }
@@ -242,18 +218,12 @@ Status ConcurrentHAIndex::PublishLocked() {
   for (const auto& [id, code] : delta_inserts_) {
     HAMMING_RETURN_NOT_OK(snap->insert_store_.Append(code));
   }
-  snap->insert_vstore_.AssignTransposed(snap->insert_store_);
   snap->tombstones_ = tombstones_;
   snap->size_ = live_.size();
   snap->epoch_ = next_epoch_++;
   const uint64_t epoch = snap->epoch_;
   publisher_.Publish(std::move(snap), epoch);
   return Status::OK();
-}
-
-Result<std::vector<TupleId>> ConcurrentHAIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  return Pin()->Search(query, h, stats);
 }
 
 Status ConcurrentHAIndex::SearchBatch(std::span<const QueryRequest> requests,
@@ -276,11 +246,6 @@ Status ConcurrentHAIndex::KnnBatch(std::span<const QueryRequest> requests,
   pin_span.SetDetail(snap->epoch());
   pin_span.End();
   return snap->KnnBatch(requests, responses);
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>> ConcurrentHAIndex::Knn(
-    const BinaryCode& query, std::size_t k, obs::QueryStats* stats) const {
-  return Pin()->Knn(query, k, stats);
 }
 
 std::size_t ConcurrentHAIndex::size() const { return Pin()->size(); }

@@ -8,8 +8,8 @@
 //
 //   * Mutators serialize on write_mu_ and build into a private delta —
 //     the same shape as DynamicHA's own insert buffer: a vector of
-//     buffered inserts mirrored in word-stride and bit-plane stores,
-//     plus a tombstone id set for deletes against the frozen base.
+//     buffered inserts mirrored in a word-stride store, plus a
+//     tombstone id set for deletes against the frozen base.
 //   * Publish() freezes (base, delta, tombstones) into an immutable
 //     Snapshot and swaps it in through the EpochPublisher. By default
 //     every mutation publishes (publish_threshold = 1), so readers are
@@ -44,7 +44,6 @@
 #include "index/epoch.h"
 #include "index/hamming_index.h"
 #include "kernels/code_store.h"
-#include "kernels/vertical_code_store.h"
 
 namespace hamming {
 
@@ -74,10 +73,10 @@ class ConcurrentHAIndex final : public HammingIndex {
   /// \brief One published epoch: an immutable (base, delta, tombstones)
   /// triple that is itself a complete HammingIndex for reads.
   ///
-  /// Search = base H-Search minus tombstoned ids, plus a batched-kernel
-  /// scan of the delta inserts — exactly the base DynamicHA plan with
-  /// the delta standing in for its (frozen, empty-at-build) insert
-  /// buffer. Mutating entry points fail with NotImplemented.
+  /// A range query is the base H-Search minus tombstoned ids, plus a
+  /// batched-kernel scan of the delta inserts — exactly the base
+  /// DynamicHA plan with the delta standing in for its insert buffer.
+  /// Mutating entry points fail with NotImplemented.
   class Snapshot final : public HammingIndex {
    public:
     std::string name() const override { return "CHA-Snapshot"; }
@@ -96,19 +95,10 @@ class ConcurrentHAIndex final : public HammingIndex {
     }
     bool SupportsDynamicUpdates() const override { return false; }
 
-    Result<std::vector<TupleId>> Search(
-        const BinaryCode& query, std::size_t h,
-        obs::QueryStats* stats = nullptr) const override;
-
-    /// \brief Range search with exact per-match distances (the base
-    /// H-Search knows them at the leaves; the delta scan computes them).
-    Result<std::vector<std::pair<TupleId, uint32_t>>> SearchWithDistances(
-        const BinaryCode& query, std::size_t h,
-        obs::QueryStats* stats = nullptr) const;
-
-    /// \brief Native batch plan: per-request SearchWithDistances, so
-    /// responses carry has_distances and the inherited Knn/KnnBatch
-    /// expand geometrically — entirely within this one epoch.
+    /// \brief The base's SearchBatch minus tombstoned ids, plus a
+    /// batched distance pass over the delta inserts; every match carries
+    /// its exact distance, and the inherited KnnBatch expands the radius
+    /// entirely within this one epoch.
     Status SearchBatch(std::span<const QueryRequest> requests,
                        std::span<QueryResponse> responses) const override;
 
@@ -132,7 +122,6 @@ class ConcurrentHAIndex final : public HammingIndex {
     std::shared_ptr<const DynamicHAIndex> base_;
     std::vector<std::pair<TupleId, BinaryCode>> inserts_;
     kernels::CodeStore insert_store_;
-    kernels::VerticalCodeStore insert_vstore_;
     std::unordered_set<TupleId> tombstones_;
     std::size_t size_ = 0;
     uint64_t epoch_ = 0;
@@ -159,16 +148,10 @@ class ConcurrentHAIndex final : public HammingIndex {
   // Readers: each entry point pins the current snapshot exactly once
   // and delegates, so a batch (or a whole kNN radius expansion) sees
   // one epoch.
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
   Status SearchBatch(std::span<const QueryRequest> requests,
                      std::span<QueryResponse> responses) const override;
   Status KnnBatch(std::span<const QueryRequest> requests,
                   std::span<QueryResponse> responses) const override;
-  Result<std::vector<std::pair<TupleId, uint32_t>>> Knn(
-      const BinaryCode& query, std::size_t k,
-      obs::QueryStats* stats = nullptr) const override;
 
   /// \brief Size / memory of the *published* snapshot (what readers
   /// see), not of unpublished pending mutations.

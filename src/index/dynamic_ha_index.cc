@@ -30,7 +30,6 @@ Status DynamicHAIndex::BuildWithIds(const std::vector<TupleId>& ids,
   roots_.clear();
   buffer_.clear();
   buffer_store_.Clear();
-  buffer_vstore_.Clear();
   num_tuples_ = 0;
   code_bits_ = codes.empty() ? 0 : codes[0].size();
 
@@ -163,7 +162,6 @@ Status DynamicHAIndex::Insert(TupleId id, const BinaryCode& code) {
   }
   buffer_.emplace_back(id, code);
   HAMMING_RETURN_NOT_OK(buffer_store_.Append(code));
-  HAMMING_RETURN_NOT_OK(buffer_vstore_.Append(code));
   ++num_tuples_;
   if (buffer_.size() >= opts_.insert_flush_threshold) FlushBuffer();
   return Status::OK();
@@ -178,7 +176,6 @@ void DynamicHAIndex::FlushBuffer() {
   for (auto& [code, ids] : groups) group_vec.emplace_back(code, std::move(ids));
   buffer_.clear();
   buffer_store_.Clear();
-  buffer_vstore_.Clear();
   BuildForest(std::move(group_vec));
 }
 
@@ -218,7 +215,6 @@ Status DynamicHAIndex::Delete(TupleId id, const BinaryCode& code) {
       buffer_[i] = buffer_.back();
       buffer_.pop_back();
       buffer_store_.SwapRemove(i);
-      buffer_vstore_.SwapRemove(i);
       --num_tuples_;
       return Status::OK();
     }
@@ -247,19 +243,11 @@ Status DynamicHAIndex::Delete(TupleId id, const BinaryCode& code) {
   return Status::KeyError("tuple not found in DHA index");
 }
 
-Result<std::vector<TupleId>> DynamicHAIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  if (!opts_.store_tuple_ids) {
-    return Status::NotImplemented(
-        "Search requires tuple ids; use SearchCodes on a leafless index");
-  }
-  if (code_bits_ != 0 && query.size() != code_bits_) {
-    return Status::InvalidArgument("query length mismatch");
-  }
-  std::vector<TupleId> out;
-  // Algorithm 3: breadth-first expansion with accumulated distance. The
-  // queue is a flat vector with a moving head (cheaper than std::deque
-  // on this hot path).
+template <typename OnLeaf>
+void DynamicHAIndex::Walk(const BinaryCode& query, std::size_t h,
+                          obs::QueryStats* stats, OnLeaf&& on_leaf) const {
+  // The queue is a flat vector with a moving head (cheaper than
+  // std::deque on this hot path).
   std::vector<std::pair<uint32_t, uint32_t>> queue;
   queue.reserve(64);
   for (uint32_t r : roots_) {
@@ -272,11 +260,8 @@ Result<std::vector<TupleId>> DynamicHAIndex::Search(
     const Node& n = nodes_[cur];
     if (n.is_leaf) {
       // Residual masks along the path partition all L bits, so acc is the
-      // exact Hamming distance — qualified tuples are collected directly.
-      out.insert(out.end(), n.tuple_ids.begin(), n.tuple_ids.end());
-      if (stats != nullptr) {
-        stats->candidates_generated += n.tuple_ids.size();
-      }
+      // exact Hamming distance — the leaf qualifies without verification.
+      on_leaf(n, acc);
       continue;
     }
     for (uint32_t c : n.children) {
@@ -285,95 +270,45 @@ Result<std::vector<TupleId>> DynamicHAIndex::Search(
       if (d <= h) queue.emplace_back(c, static_cast<uint32_t>(d));
     }
   }
-  // The insert buffer (bounded by the flush threshold) is scanned with
-  // one batched kernel pass; the layout dispatch picks the bit-plane
-  // mirror when the buffer is large and the radius selective.
-  std::vector<uint32_t> slots;
-  kernels::VerticalScanStats vstats;
-  kernels::BatchWithinDistanceDual(query, buffer_store_, &buffer_vstore_, h,
-                                   &slots, &vstats);
-  for (uint32_t slot : slots) out.push_back(buffer_[slot].first);
-  if (stats != nullptr) {
-    ++stats->kernel_batch_calls;
-    stats->candidates_generated += buffer_.size();
-    stats->exact_distance_computations += buffer_.size();
-    stats->results += out.size();
-    stats->planes_scanned += vstats.planes_scanned;
-    stats->blocks_pruned += vstats.blocks_pruned;
-  }
-  return out;
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>>
-DynamicHAIndex::SearchWithDistances(const BinaryCode& query, std::size_t h,
-                                    obs::QueryStats* stats) const {
-  if (!opts_.store_tuple_ids) {
-    return Status::NotImplemented(
-        "SearchWithDistances requires tuple ids (leafful index)");
-  }
-  if (code_bits_ != 0 && query.size() != code_bits_) {
-    return Status::InvalidArgument("query length mismatch");
-  }
-  std::vector<std::pair<TupleId, uint32_t>> out;
-  std::vector<std::pair<uint32_t, uint32_t>> queue;
-  queue.reserve(64);
-  for (uint32_t r : roots_) {
-    if (stats != nullptr) ++stats->signatures_enumerated;
-    std::size_t d = nodes_[r].residual.PartialDistance(query);
-    if (d <= h) queue.emplace_back(r, static_cast<uint32_t>(d));
-  }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    auto [cur, acc] = queue[head];
-    const Node& n = nodes_[cur];
-    if (n.is_leaf) {
-      for (TupleId id : n.tuple_ids) out.emplace_back(id, acc);
-      if (stats != nullptr) {
-        stats->candidates_generated += n.tuple_ids.size();
-      }
-      continue;
-    }
-    for (uint32_t c : n.children) {
-      if (stats != nullptr) ++stats->signatures_enumerated;
-      std::size_t d = acc + nodes_[c].residual.PartialDistance(query);
-      if (d <= h) queue.emplace_back(c, static_cast<uint32_t>(d));
-    }
-  }
-  std::vector<uint32_t> dists;
-  kernels::BatchDistance(query, buffer_store_, &dists);
-  for (std::size_t i = 0; i < dists.size(); ++i) {
-    if (dists[i] <= h) out.emplace_back(buffer_[i].first, dists[i]);
-  }
-  if (stats != nullptr) {
-    ++stats->kernel_batch_calls;
-    stats->candidates_generated += buffer_.size();
-    stats->exact_distance_computations += buffer_.size();
-    stats->results += out.size();
-  }
-  return out;
 }
 
 Status DynamicHAIndex::SearchBatch(std::span<const QueryRequest> requests,
                                    std::span<QueryResponse> responses) const {
-  HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    QueryResponse& resp = responses[i];
-    resp.Clear();
-    auto got =
-        SearchWithDistances(requests[i].code, requests[i].h, &resp.stats);
-    if (!got.ok()) {
-      resp.status = got.status();
-      continue;
-    }
-    auto pairs = std::move(got).ValueOrDie();
-    resp.ids.reserve(pairs.size());
-    resp.distances.reserve(pairs.size());
-    for (const auto& [id, dist] : pairs) {
-      resp.ids.push_back(id);
-      resp.distances.push_back(dist);
-    }
-    resp.has_distances = true;
-  }
-  return Status::OK();
+  std::vector<uint32_t> dists;  // buffer scan scratch, reused per request
+  return SearchEach(
+      requests, responses,
+      [this, &dists](const QueryRequest& req, QueryResponse* resp) {
+        if (!opts_.store_tuple_ids) {
+          return Status::NotImplemented(
+              "SearchBatch requires tuple ids; use SearchCodes on a "
+              "leafless index");
+        }
+        if (code_bits_ != 0 && req.code.size() != code_bits_) {
+          return Status::InvalidArgument("query length mismatch");
+        }
+        obs::QueryStats& stats = resp->stats;
+        Walk(req.code, req.h, &stats, [&](const Node& leaf, uint32_t dist) {
+          resp->ids.insert(resp->ids.end(), leaf.tuple_ids.begin(),
+                           leaf.tuple_ids.end());
+          resp->distances.insert(resp->distances.end(),
+                                 leaf.tuple_ids.size(), dist);
+          stats.candidates_generated += leaf.tuple_ids.size();
+        });
+        // The insert buffer (bounded by the flush threshold) is one
+        // batched distance pass.
+        kernels::BatchDistance(req.code, buffer_store_, &dists);
+        for (std::size_t i = 0; i < dists.size(); ++i) {
+          if (dists[i] <= req.h) {
+            resp->ids.push_back(buffer_[i].first);
+            resp->distances.push_back(dists[i]);
+          }
+        }
+        ++stats.kernel_batch_calls;
+        stats.candidates_generated += buffer_.size();
+        stats.exact_distance_computations += buffer_.size();
+        stats.results += resp->ids.size();
+        return Status::OK();
+      });
 }
 
 Result<std::vector<BinaryCode>> DynamicHAIndex::SearchCodes(
@@ -382,32 +317,18 @@ Result<std::vector<BinaryCode>> DynamicHAIndex::SearchCodes(
     return Status::InvalidArgument("query length mismatch");
   }
   std::vector<BinaryCode> out;
-  std::vector<std::pair<uint32_t, uint32_t>> queue;
-  queue.reserve(64);
-  for (uint32_t r : roots_) {
-    if (stats != nullptr) ++stats->signatures_enumerated;
-    std::size_t d = nodes_[r].residual.PartialDistance(query);
-    if (d <= h) queue.emplace_back(r, static_cast<uint32_t>(d));
-  }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    auto [cur, acc] = queue[head];
-    const Node& n = nodes_[cur];
-    if (n.is_leaf) {
-      // A leaf's cumulative pattern is the full code.
-      out.push_back(n.cumulative.value());
-      if (stats != nullptr) ++stats->candidates_generated;
-      continue;
-    }
-    for (uint32_t c : n.children) {
-      if (stats != nullptr) ++stats->signatures_enumerated;
-      std::size_t d = acc + nodes_[c].residual.PartialDistance(query);
-      if (d <= h) queue.emplace_back(c, static_cast<uint32_t>(d));
+  Walk(query, h, stats, [&](const Node& leaf, uint32_t) {
+    // A leaf's cumulative pattern is the full code.
+    out.push_back(leaf.cumulative.value());
+    if (stats != nullptr) ++stats->candidates_generated;
+  });
+  if (!buffer_.empty()) {
+    std::vector<uint32_t> dists;
+    kernels::BatchDistance(query, buffer_store_, &dists);
+    for (std::size_t i = 0; i < dists.size(); ++i) {
+      if (dists[i] <= h) out.push_back(buffer_[i].second);
     }
   }
-  std::vector<uint32_t> slots;
-  kernels::BatchWithinDistanceDual(query, buffer_store_, &buffer_vstore_, h,
-                                   &slots);
-  for (uint32_t slot : slots) out.push_back(buffer_[slot].second);
   if (stats != nullptr) {
     ++stats->kernel_batch_calls;
     stats->candidates_generated += buffer_.size();
@@ -505,26 +426,12 @@ Result<std::vector<JoinPair>> DynamicHAIndex::JoinWith(
     }
   }
   for (const auto& [sid, scode] : other.buffer_) {
-    // Probe only the built part of this index (buffer x buffer pairs were
-    // already covered above because other.Search scans other's buffer —
-    // exclude them here by probing the forest directly).
-    std::vector<std::pair<uint32_t, std::size_t>> queue;
-    for (uint32_t r : roots_) {
-      std::size_t d = nodes_[r].residual.PartialDistance(scode);
-      if (d <= h) queue.emplace_back(r, d);
-    }
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      auto [cur, acc] = queue[head];
-      const Node& n = nodes_[cur];
-      if (n.is_leaf) {
-        for (TupleId r : n.tuple_ids) out.push_back({r, sid});
-        continue;
-      }
-      for (uint32_t c : n.children) {
-        std::size_t d = acc + nodes_[c].residual.PartialDistance(scode);
-        if (d <= h) queue.emplace_back(c, d);
-      }
-    }
+    // Probe only the built part of this index: buffer x buffer pairs were
+    // already covered above, because other.SearchBatch scans other's
+    // buffer.
+    Walk(scode, h, nullptr, [&](const Node& leaf, uint32_t) {
+      for (TupleId r : leaf.tuple_ids) out.push_back({r, sid});
+    });
   }
   return out;
 }
@@ -573,19 +480,14 @@ std::vector<std::pair<TupleId, BinaryCode>> DynamicHAIndex::ExportTuples()
 }
 
 Status DynamicHAIndex::CheckConsistency() const {
-  // Insert buffer and its kernel mirrors must agree slot-for-slot.
-  if (buffer_store_.size() != buffer_.size() ||
-      buffer_vstore_.size() != buffer_.size()) {
+  // Insert buffer and its kernel store must agree slot-for-slot.
+  if (buffer_store_.size() != buffer_.size()) {
     return Status::IndexError("buffer/mirror size mismatch");
   }
   for (std::size_t i = 0; i < buffer_.size(); ++i) {
     if (!buffer_store_.Matches(i, buffer_[i].second)) {
       return Status::IndexError("buffer_store_ slot diverged from buffer_");
     }
-  }
-  if (!buffer_vstore_.IsTransposeOf(buffer_store_)) {
-    return Status::IndexError(
-        "buffer_vstore_ is not the transpose of buffer_store_");
   }
   // Forest frequencies: every live node's frequency is the number of
   // live tuples below it; leaves carry their id-table size.
@@ -669,7 +571,6 @@ Status DynamicHAIndex::MergeFrom(const DynamicHAIndex& other) {
   for (const auto& [id, code] : other.buffer_) {
     (void)id;
     HAMMING_RETURN_NOT_OK(buffer_store_.Append(code));
-    HAMMING_RETURN_NOT_OK(buffer_vstore_.Append(code));
   }
   num_tuples_ += other.num_tuples_;
   return Status::OK();
@@ -808,8 +709,7 @@ Result<DynamicHAIndex> DynamicHAIndex::Deserialize(BufferReader* r) {
     HAMMING_RETURN_NOT_OK(r->GetVarint64(&v));
     id = static_cast<TupleId>(v);
     HAMMING_RETURN_NOT_OK(BinaryCode::Deserialize(r, &code));
-    if (!idx.buffer_store_.Append(code).ok() ||
-        !idx.buffer_vstore_.Append(code).ok()) {
+    if (!idx.buffer_store_.Append(code).ok()) {
       return Status::IOError("corrupt buffer code length");
     }
   }

@@ -32,7 +32,6 @@
 #include "code/masked_code.h"
 #include "index/hamming_index.h"
 #include "kernels/code_store.h"
-#include "kernels/vertical_code_store.h"
 
 namespace hamming {
 
@@ -55,7 +54,7 @@ struct DynamicHAIndexOptions {
   /// Buffered inserts accumulated before an incremental H-Build.
   std::size_t insert_flush_threshold = 1024;
   /// When false the index keeps no tuple-id hash tables at the leaves:
-  /// Search is unavailable but SearchCodes still works. This is the
+  /// SearchBatch is unavailable but SearchCodes still works. This is the
   /// leafless mode Section 5.3's MapReduce Option B broadcasts.
   bool store_tuple_ids = true;
 };
@@ -83,33 +82,23 @@ class DynamicHAIndex final : public HammingIndex {
   Status BuildWithIds(const std::vector<TupleId>& ids,
                       const std::vector<BinaryCode>& codes);
 
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
   Status Insert(TupleId id, const BinaryCode& code) override;
   Status Delete(TupleId id, const BinaryCode& code) override;
   std::size_t size() const override { return num_tuples_; }
   MemoryBreakdown Memory() const override;
 
-  /// \brief Like Search but also reports each tuple's exact Hamming
-  /// distance (H-Search knows it at the leaf for free — the accumulated
-  /// residual distances sum to the full distance). Used by the kNN plans
-  /// to rank candidates without a second pass.
-  Result<std::vector<std::pair<TupleId, uint32_t>>> SearchWithDistances(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const;
-
-  /// \brief Native batch range plan: routes every request through
-  /// SearchWithDistances, so each response carries per-match exact
-  /// distances (`has_distances`) at no extra traversal cost — H-Search
-  /// already knows the full distance at each qualifying leaf. That lets
-  /// the default Knn expand the radius geometrically (O(log L) rounds)
-  /// instead of h += 1.
+  /// \brief H-Search (Algorithm 3) per request. The residual masks along
+  /// a root-to-leaf path partition the L bits, so the distance a leaf is
+  /// reached with is exact and every match carries it at no extra cost;
+  /// buffered inserts get theirs from one batched distance pass.
+  /// Requests fail with NotImplemented on a leafless index.
   Status SearchBatch(std::span<const QueryRequest> requests,
                      std::span<QueryResponse> responses) const override;
 
   /// \brief Qualifying distinct *codes* within distance h (works in
-  /// leafless mode; used by MapReduce Option B, Section 5.3).
+  /// leafless mode; used by MapReduce Option B, Section 5.3). Same
+  /// H-Search traversal as SearchBatch, with a leaf visitor that keeps
+  /// the code instead of the tuple ids.
   Result<std::vector<BinaryCode>> SearchCodes(
       const BinaryCode& query, std::size_t h,
       obs::QueryStats* stats = nullptr) const;
@@ -136,10 +125,9 @@ class DynamicHAIndex final : public HammingIndex {
   std::vector<std::pair<TupleId, BinaryCode>> ExportTuples() const;
 
   /// \brief Audits the SwapRemove-era cross-structure invariants after a
-  /// mutation stream: the insert buffer and both kernel mirrors agree
-  /// slot-for-slot (buffer_vstore_ is the exact transpose of
-  /// buffer_store_, which matches buffer_), every forest frequency
-  /// equals the live tuples below it, and size() equals leaves + buffer.
+  /// mutation stream: the insert buffer and its kernel store agree
+  /// slot-for-slot, every forest frequency equals the live tuples below
+  /// it, and size() equals leaves + buffer.
   /// Returns the first violated invariant; OK when consistent. Test and
   /// debug hook — walks the whole structure, not for hot paths.
   Status CheckConsistency() const;
@@ -174,6 +162,15 @@ class DynamicHAIndex final : public HammingIndex {
   void BuildForest(
       std::vector<std::pair<BinaryCode, std::vector<TupleId>>> groups);
 
+  /// H-Search (Algorithm 3): breadth-first over the forest, expanding a
+  /// node's children only while the accumulated distance stays within h;
+  /// calls on_leaf(leaf, distance) for every qualifying leaf. The
+  /// visitor is a template parameter so each caller's leaf work inlines
+  /// into the traversal.
+  template <typename OnLeaf>
+  void Walk(const BinaryCode& query, std::size_t h, obs::QueryStats* stats,
+            OnLeaf&& on_leaf) const;
+
   uint32_t NewNode();
   void ComputeResiduals(uint32_t root);
   void FlushBuffer();
@@ -187,14 +184,13 @@ class DynamicHAIndex final : public HammingIndex {
   std::vector<Node> nodes_;
   std::vector<uint32_t> roots_;
   // Insert buffer (Section 4.5). buffer_store_ mirrors the buffered codes
-  // in word-stride form so the per-query buffer scan runs through the
-  // batched kernels instead of one WithinDistance call per code;
-  // buffer_vstore_ keeps the bit-plane transpose of the same slots so a
-  // selective search can take the vertical kernel when the buffer (its
-  // flush threshold permitting) grows large enough to amortize it.
+  // in word-stride form so the per-query buffer scan is one batched
+  // distance pass instead of one Distance call per code. At the default
+  // flush threshold (1024) the buffer never reaches the vertical
+  // kernel's profitability floor (kernels::kVerticalMinCodes = 4096), so
+  // it keeps no bit-plane mirror.
   std::vector<std::pair<TupleId, BinaryCode>> buffer_;
   kernels::CodeStore buffer_store_;
-  kernels::VerticalCodeStore buffer_vstore_;
 };
 
 }  // namespace hamming

@@ -1,6 +1,6 @@
 #include "index/hamming_index.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace hamming {
 
@@ -14,155 +14,69 @@ Status HammingIndex::CheckBatchSpans(std::span<const QueryRequest> requests,
   return Status::OK();
 }
 
-Status HammingIndex::SearchBatch(std::span<const QueryRequest> requests,
-                                 std::span<QueryResponse> responses) const {
-  HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    QueryResponse& resp = responses[i];
-    resp.Clear();
-    auto got = Search(requests[i].code, requests[i].h, &resp.stats);
-    if (got.ok()) {
-      resp.ids = std::move(got).ValueOrDie();
-    } else {
-      resp.status = got.status();
-    }
+void HammingIndex::SetUniqueMatches(
+    std::vector<std::pair<TupleId, uint32_t>>* matches, QueryResponse* resp) {
+  std::sort(matches->begin(), matches->end());
+  matches->erase(std::unique(matches->begin(), matches->end()),
+                 matches->end());
+  resp->ids.reserve(matches->size());
+  resp->distances.reserve(matches->size());
+  for (const auto& [id, d] : *matches) {
+    resp->ids.push_back(id);
+    resp->distances.push_back(d);
   }
-  return Status::OK();
+  resp->stats.results += matches->size();
 }
 
 Status HammingIndex::KnnBatch(std::span<const QueryRequest> requests,
                               std::span<QueryResponse> responses) const {
   HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
+  QueryRequest req;
+  QueryResponse round;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     QueryResponse& resp = responses[i];
     resp.Clear();
-    auto got = Knn(requests[i].code, requests[i].k, &resp.stats);
-    if (got.ok()) {
-      resp.neighbors = std::move(got).ValueOrDie();
-    } else {
-      resp.status = got.status();
-    }
-  }
-  return Status::OK();
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>> HammingIndex::Knn(
-    const BinaryCode& query, std::size_t k, obs::QueryStats* stats) const {
-  std::vector<std::pair<TupleId, uint32_t>> out;
-  if (k == 0 || size() == 0) return out;
-  // k >= size() degenerates to "every tuple with its distance": target
-  // caps at size() so the expansion stops the moment all tuples have
-  // been seen instead of probing the remaining radii.
-  const std::size_t target = std::min(k, size());
-  // No two L-bit codes are farther than L apart, so an index whose
-  // Search is incomplete at large radii can under-fill the result but
-  // can never drive the expansion past h = L.
-  const std::size_t max_radius = query.size();
-
-  QueryRequest req = QueryRequest::Range(query, 0);
-  QueryResponse resp;
-
-  // Legacy h += 1 expansion state: Search(h) is a superset of
-  // Search(h-1), so an id's first-seen radius is its exact Hamming
-  // distance — valid only while every step so far was +1.
-  bool first_seen_valid = true;
-  std::unordered_set<TupleId> seen;
-  std::vector<std::pair<TupleId, uint32_t>> by_first_seen;
-
-  auto record_round = [&](std::size_t rounds_prior_results) {
-    if (stats == nullptr) return;
-    ++stats->radius_expansions;
-    // Everything an earlier round returned is re-scanned (and
-    // re-returned) by this one: the pure waste of radius expansion.
-    stats->rescanned_results += rounds_prior_results;
-    *stats += resp.stats;
-  };
-
-  std::size_t h = 0;
-  std::size_t prior_results = 0;
-  while (true) {
-    req.h = h;
-    resp.Clear();
-    HAMMING_RETURN_NOT_OK(SearchBatch({&req, 1}, {&resp, 1}));
-    HAMMING_RETURN_NOT_OK(resp.status);
-    record_round(prior_results);
-
-    if (resp.has_distances) {
+    const std::size_t k = requests[i].k;
+    if (k == 0 || size() == 0) continue;
+    // k >= size() degenerates to "every tuple with its distance": the
+    // target caps at size() so the expansion stops once all are seen.
+    const std::size_t target = std::min(k, size());
+    // No two L-bit codes are farther than L apart.
+    const std::size_t max_radius =
+        std::min(requests[i].code.size(), MaxRadius());
+    req = QueryRequest::Range(requests[i].code, 0);
+    std::size_t prior_results = 0;
+    while (true) {
+      HAMMING_RETURN_NOT_OK(SearchBatch({&req, 1}, {&round, 1}));
+      ++resp.stats.radius_expansions;
+      // Everything an earlier round returned is re-scanned (and
+      // re-returned) by this one: the pure waste of radius expansion.
+      resp.stats.rescanned_results += prior_results;
+      resp.stats += round.stats;
+      if (!round.status.ok()) {
+        resp.status = round.status;
+        break;
+      }
       // Every tuple within h is present with its exact distance; with
       // >= target of them the k nearest overall are all here.
-      if (resp.ids.size() >= target || h >= max_radius) {
-        out.reserve(resp.ids.size());
-        for (std::size_t i = 0; i < resp.ids.size(); ++i) {
-          out.emplace_back(resp.ids[i], resp.distances[i]);
+      if (round.ids.size() >= target || req.h >= max_radius) {
+        resp.neighbors.reserve(round.ids.size());
+        for (std::size_t j = 0; j < round.ids.size(); ++j) {
+          resp.neighbors.emplace_back(round.ids[j], round.distances[j]);
         }
         break;
       }
-    } else if (first_seen_valid) {
-      for (TupleId id : resp.ids) {
-        if (seen.insert(id).second) {
-          by_first_seen.emplace_back(id, static_cast<uint32_t>(h));
-        }
-      }
-      if (by_first_seen.size() >= target || h >= max_radius) {
-        out = std::move(by_first_seen);
-        break;
-      }
-    } else if (h >= max_radius) {
-      // Unreachable with the shipped indexes (has_distances is monotone
-      // in h for all of them), kept for exactness: a distance-less round
-      // after a geometric jump cannot be ranked, so redo the expansion
-      // the classic way.
-      return LegacyKnnExpansion(query, k, stats);
+      prior_results = round.ids.size();
+      req.h = std::min(max_radius, 2 * req.h + 1);
     }
-
-    prior_results = resp.ids.size();
-    if (resp.has_distances) {
-      // Distances make large jumps free of ranking error: grow
-      // geometrically (0, 1, 3, 7, ...) for O(log L) rounds total.
-      const std::size_t next = std::min(max_radius, 2 * h + 1);
-      if (next > h + 1) first_seen_valid = false;
-      h = next;
-    } else {
-      ++h;
-    }
+    std::sort(resp.neighbors.begin(), resp.neighbors.end(),
+              [](const auto& a, const auto& b) {
+                if (a.second != b.second) return a.second < b.second;
+                return a.first < b.first;
+              });
+    if (resp.neighbors.size() > k) resp.neighbors.resize(k);
   }
-
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second < b.second;
-              return a.first < b.first;
-            });
-  if (out.size() > k) out.resize(k);
-  return out;
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>>
-HammingIndex::LegacyKnnExpansion(const BinaryCode& query, std::size_t k,
-                                 obs::QueryStats* stats) const {
-  std::vector<std::pair<TupleId, uint32_t>> out;
-  const std::size_t target = std::min(k, size());
-  const std::size_t max_radius = query.size();
-  std::unordered_set<TupleId> seen;
-  for (std::size_t h = 0; h <= max_radius && out.size() < target; ++h) {
-    if (stats != nullptr) {
-      ++stats->radius_expansions;
-      stats->rescanned_results += seen.size();
-    }
-    HAMMING_ASSIGN_OR_RETURN(std::vector<TupleId> ids,
-                             Search(query, h, stats));
-    for (TupleId id : ids) {
-      if (seen.insert(id).second) {
-        out.emplace_back(id, static_cast<uint32_t>(h));
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second < b.second;
-              return a.first < b.first;
-            });
-  if (out.size() > k) out.resize(k);
-  return out;
+  return Status::OK();
 }
 
 }  // namespace hamming

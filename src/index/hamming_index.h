@@ -3,8 +3,8 @@
 // of the query's binary code).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -41,7 +41,8 @@ struct JoinPair {
 };
 
 /// \brief Abstract index over a collection of equal-length binary codes
-/// answering Hamming range queries.
+/// answering Hamming range and kNN queries. SearchBatch and KnnBatch are
+/// its only query entry points; a single query is a batch of one.
 ///
 /// Implementations: LinearScanIndex, MultiHashTableIndex, HEngineIndex,
 /// HmSearchIndex, RadixTreeIndex, StaticHAIndex, DynamicHAIndex,
@@ -65,73 +66,45 @@ class HammingIndex {
   /// Replaces any previous contents.
   virtual Status Build(const std::vector<BinaryCode>& codes) = 0;
 
-  /// \brief All tuple ids whose code is within Hamming distance h of
-  /// `query`. Order of ids in the result is unspecified.
+  /// \brief The range query h-select(tq, S): answers requests[i] (its
+  /// `code`/`h` fields, whatever its `kind`) into responses[i]. An OK
+  /// response holds every tuple within distance h in `ids` (order
+  /// unspecified) and, parallel to it, each one's exact Hamming distance
+  /// in `distances`; `has_distances` is set. A failed request carries
+  /// its error in responses[i].status and no ids. The returned Status is
+  /// non-OK only for batch-level misuse (span size mismatch). Requests
+  /// in one batch are independent: a response is the same whether its
+  /// query runs alone or in a batch.
   ///
-  /// When `stats` is non-null the implementation accumulates its work
-  /// counters (signatures probed, candidates generated, exact distance
-  /// computations, ...) into it; see observability/query_stats.h for the
-  /// per-family field semantics. Passing nullptr (the default) records
-  /// nothing. Overrides restate the default so two-argument calls on
-  /// concrete index types keep compiling.
-  ///
-  /// Library code is batch-first: every driver, operator and bench goes
-  /// through SearchBatch (the [batch-first] lint rule enforces it under
-  /// src/ outside src/index/). This scalar entry point remains public as
-  /// the per-family *implementation* hook the default batch plan loops
-  /// over, and as the convenience surface tests and one-off probes use.
-  virtual Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const = 0;
-
-  /// \brief Batch-first range query: answers requests[i] (interpreted as
-  /// a range query over its `code`/`h` fields regardless of `kind`) into
-  /// responses[i]. Per-request failures land in responses[i].status; the
-  /// returned Status is non-OK only for batch-level misuse (span size
-  /// mismatch). Requests in one batch are independent — responses are
-  /// byte-identical to issuing the same queries one at a time.
-  ///
-  /// The default loops the scalar Search path. Indexes with a cheaper
-  /// coalesced plan override it: LinearScanIndex and the HA indexes
-  /// route the whole batch through one multi-query kernel traversal
-  /// (kernels::MultiWithinDistance) that streams the stored codes once
-  /// for every query in the batch, and fill per-match exact distances
-  /// (`has_distances`) when the plan produces them as a by-product.
+  /// Every family computes the distance while verifying candidates, so
+  /// it costs nothing extra on the structure-walking paths; survivors of
+  /// a vertical (bit-plane) scan get theirs by one popcount over the
+  /// code data the index already holds. `responses[i].stats` receives
+  /// the query's work counters (observability/query_stats.h).
   virtual Status SearchBatch(std::span<const QueryRequest> requests,
-                             std::span<QueryResponse> responses) const;
+                             std::span<QueryResponse> responses) const = 0;
 
-  /// \brief Batch-first kNN: answers requests[i] (its `code`/`k` fields)
-  /// into responses[i].neighbors, same contract as SearchBatch. The
-  /// default loops the scalar Knn path; LinearScanIndex overrides it
-  /// with one multi-query bounded-heap scan (kernels::MultiKnn).
+  /// \brief kNN: answers requests[i] (its `code`/`k` fields) into
+  /// responses[i].neighbors as (id, distance) ascending by distance,
+  /// then id. Same batch contract as SearchBatch.
+  ///
+  /// The default expands the radius geometrically (h = 0, 1, 3, 7, ...)
+  /// through SearchBatch: the first radius with >= k matches already
+  /// carries every distance needed to rank them, so a query costs
+  /// O(log L) rounds. The radius never exceeds MaxRadius(); a family
+  /// with a bounded radius returns fewer than k neighbours when fewer
+  /// lie within its bound. Each round's re-returned matches count in
+  /// QueryStats::rescanned_results. LinearScanIndex overrides this with
+  /// one multi-query bounded-heap scan (kernels::MultiKnn).
   virtual Status KnnBatch(std::span<const QueryRequest> requests,
                           std::span<QueryResponse> responses) const;
 
-  /// \brief The k stored tuples nearest to `query` by Hamming distance,
-  /// as (id, distance) sorted by ascending distance (order among equal
-  /// distances is unspecified). Fewer than k pairs when size() < k.
-  ///
-  /// The default expands the search radius through SearchBatch. When the
-  /// index reports per-match exact distances (has_distances — the HA
-  /// indexes do), the radius grows geometrically (h = 0, 1, 3, 7, ...):
-  /// the first radius with >= k matches already carries every distance
-  /// needed to rank them, so the expansion costs O(log L) rounds instead
-  /// of the h+1 rounds of the classic walk. Without distances it falls
-  /// back to the classic h += 1 expansion, where the radius at which an
-  /// id first appears is its exact distance; that path is exact wherever
-  /// Search is complete at arbitrary h (indexes with a bounded supported
-  /// radius, e.g. MultiHashTableIndex, inherit that bound). Either way
-  /// the tuples a round re-surfaces after an earlier round already
-  /// returned them are counted in QueryStats::rescanned_results — the
-  /// re-scan waste the geometric expansion exists to avoid.
-  /// Implementations with a cheaper native path override it
-  /// (LinearScanIndex runs one batched scan with a bounded top-k heap).
-  ///
-  /// Like Search, this is the per-query engine under the batch surface
-  /// (KnnBatch's default loops it); library callers use KnnBatch.
-  virtual Result<std::vector<std::pair<TupleId, uint32_t>>> Knn(
-      const BinaryCode& query, std::size_t k,
-      obs::QueryStats* stats = nullptr) const;
+  /// \brief The largest radius SearchBatch answers exactly. Unbounded by
+  /// default; the signature indexes (MH, HEngine, HmSearch) are exact up
+  /// to the h_max their layout was built for.
+  virtual std::size_t MaxRadius() const {
+    return std::numeric_limits<std::size_t>::max();
+  }
 
   /// \brief Inserts one (id, code) pair.
   virtual Status Insert(TupleId id, const BinaryCode& code) = 0;
@@ -155,18 +128,35 @@ class HammingIndex {
   static Status CheckBatchSpans(std::span<const QueryRequest> requests,
                                 std::span<QueryResponse> responses);
 
-  /// \brief The classic h += 1 radius expansion over scalar Search
-  /// (first-seen radius = exact distance) — the exactness fallback of
-  /// the default Knn for indexes whose batch path never reports
-  /// distances after a geometric jump.
-  Result<std::vector<std::pair<TupleId, uint32_t>>> LegacyKnnExpansion(
-      const BinaryCode& query, std::size_t k, obs::QueryStats* stats) const;
-};
+  /// \brief Fills resp's ids/distances from (id, distance) matches of a
+  /// multi-probe index, dropping the duplicates found by several probes,
+  /// and counts them in resp->stats.results.
+  static void SetUniqueMatches(
+      std::vector<std::pair<TupleId, uint32_t>>* matches, QueryResponse* resp);
 
-/// \brief Sorts a search result for deterministic comparison in tests.
-inline std::vector<TupleId> Sorted(std::vector<TupleId> ids) {
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
+  /// \brief The per-request loop of a SearchBatch override: clears each
+  /// response, runs `search_one(request, &response)` and records the
+  /// outcome — has_distances on success, the error and no matches on
+  /// failure.
+  template <typename SearchOne>
+  static Status SearchEach(std::span<const QueryRequest> requests,
+                           std::span<QueryResponse> responses,
+                           SearchOne&& search_one) {
+    HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      QueryResponse& resp = responses[i];
+      resp.Clear();
+      Status st = search_one(requests[i], &resp);
+      if (st.ok()) {
+        resp.has_distances = true;
+      } else {
+        resp.ids.clear();
+        resp.distances.clear();
+        resp.status = std::move(st);
+      }
+    }
+    return Status::OK();
+  }
+};
 
 }  // namespace hamming

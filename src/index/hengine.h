@@ -28,18 +28,20 @@ class HEngineIndex final : public HammingIndex {
   std::string name() const override { return "HEngine"; }
 
   Status Build(const std::vector<BinaryCode>& codes) override;
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
+  Status SearchBatch(std::span<const QueryRequest> requests,
+                     std::span<QueryResponse> responses) const override;
   Status Insert(TupleId id, const BinaryCode& code) override;
   Status Delete(TupleId id, const BinaryCode& code) override;
   std::size_t size() const override { return id_to_slot_.size(); }
   MemoryBreakdown Memory() const override;
+  std::size_t MaxRadius() const override { return h_max_; }
 
   std::size_t num_segments() const { return num_segments_; }
 
  private:
   std::pair<std::size_t, std::size_t> SegmentRange(std::size_t s) const;
+  Status SearchOne(const BinaryCode& query, std::size_t h,
+                   QueryResponse* resp) const;
 
   struct Entry {
     uint64_t key;

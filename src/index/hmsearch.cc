@@ -83,9 +83,17 @@ Status HmSearchIndex::Delete(TupleId id, const BinaryCode& code) {
   return Status::OK();
 }
 
-Result<std::vector<TupleId>> HmSearchIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  if (stored_.empty()) return std::vector<TupleId>{};
+Status HmSearchIndex::SearchBatch(std::span<const QueryRequest> requests,
+                                  std::span<QueryResponse> responses) const {
+  return SearchEach(requests, responses,
+                    [this](const QueryRequest& req, QueryResponse* resp) {
+                      return SearchOne(req.code, req.h, resp);
+                    });
+}
+
+Status HmSearchIndex::SearchOne(const BinaryCode& query, std::size_t h,
+                                QueryResponse* resp) const {
+  if (stored_.empty()) return Status::OK();
   if (query.size() != code_bits_) {
     return Status::InvalidArgument("query length mismatch");
   }
@@ -93,25 +101,23 @@ Result<std::vector<TupleId>> HmSearchIndex::Search(
     return Status::InvalidArgument(
         "HmSearch was built for thresholds up to h_max");
   }
-  std::vector<TupleId> out;
+  obs::QueryStats& stats = resp->stats;
+  std::vector<std::pair<TupleId, uint32_t>> out;
   for (std::size_t s = 0; s < num_segments_; ++s) {
-    if (stats != nullptr) ++stats->signatures_enumerated;
+    ++stats.signatures_enumerated;
     auto [b, e] = SegmentRange(s);
     uint64_t key = query.SubstringAsUint64(b, e - b);
     auto bucket_it = tables_[s].find(key);
     if (bucket_it == tables_[s].end()) continue;
-    if (stats != nullptr) {
-      stats->candidates_generated += bucket_it->second.size();
-      stats->exact_distance_computations += bucket_it->second.size();
-    }
+    stats.candidates_generated += bucket_it->second.size();
+    stats.exact_distance_computations += bucket_it->second.size();
     for (TupleId id : bucket_it->second) {
-      if (stored_.at(id).WithinDistance(query, h)) out.push_back(id);
+      const auto d = static_cast<uint32_t>(stored_.at(id).Distance(query));
+      if (d <= h) out.emplace_back(id, d);
     }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (stats != nullptr) stats->results += out.size();
-  return out;
+  SetUniqueMatches(&out, resp);
+  return Status::OK();
 }
 
 MemoryBreakdown HmSearchIndex::Memory() const {

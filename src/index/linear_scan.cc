@@ -14,51 +14,13 @@ Status LinearScanIndex::Build(const std::vector<BinaryCode>& codes) {
   return Status::OK();
 }
 
-Result<std::vector<TupleId>> LinearScanIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  std::vector<uint32_t> slots;
-  kernels::VerticalScanStats vstats;
-  kernels::BatchWithinDistanceDual(query, codes_, &vcodes_, h, &slots,
-                                   &vstats);
-  std::vector<TupleId> out;
-  out.reserve(slots.size());
-  for (uint32_t slot : slots) out.push_back(ids_[slot]);
-  if (stats != nullptr) {
-    ++stats->kernel_batch_calls;
-    stats->candidates_generated += ids_.size();
-    stats->exact_distance_computations += ids_.size();
-    stats->results += out.size();
-    stats->planes_scanned += vstats.planes_scanned;
-    stats->blocks_pruned += vstats.blocks_pruned;
-  }
-  return out;
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>> LinearScanIndex::Knn(
-    const BinaryCode& query, std::size_t k, obs::QueryStats* stats) const {
-  auto nearest = kernels::BatchKnn(query, codes_, k);
-  if (stats != nullptr) {
-    ++stats->kernel_batch_calls;
-    stats->candidates_generated += ids_.size();
-    stats->exact_distance_computations += ids_.size();
-    stats->results += nearest.size();
-  }
-  std::vector<std::pair<TupleId, uint32_t>> out;
-  out.reserve(nearest.size());
-  for (const auto& [slot, dist] : nearest) {
-    out.emplace_back(ids_[slot], dist);
-  }
-  return out;
-}
-
 Status LinearScanIndex::SearchBatch(std::span<const QueryRequest> requests,
                                     std::span<QueryResponse> responses) const {
   HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
   const std::size_t n = ids_.size();
-  // Requests whose (bits, h, n) pick the vertical layout run the exact
-  // scalar plane-pruning path; the rest coalesce into one multi-query
-  // horizontal scan. The split mirrors BatchWithinDistanceDual, so each
-  // response is byte-identical to its scalar Search.
+  // Requests whose (bits, h, n) pick the vertical layout run the
+  // plane-pruning scan; the rest coalesce into one multi-query
+  // horizontal scan. The split mirrors BatchWithinDistanceDual.
   const auto policy = kernels::ActiveLayoutPolicy();
   const bool mirror_ok = !vcodes_.empty() && vcodes_.size() == codes_.size() &&
                          vcodes_.bits() == codes_.bits();
@@ -87,7 +49,12 @@ Status LinearScanIndex::SearchBatch(std::span<const QueryRequest> requests,
       kernels::BatchWithinDistance(requests[i].code, vcodes_, requests[i].h,
                                    &slots, &vstats);
       resp.ids.reserve(slots.size());
-      for (uint32_t slot : slots) resp.ids.push_back(ids_[slot]);
+      resp.distances.reserve(slots.size());
+      for (uint32_t slot : slots) {
+        resp.ids.push_back(ids_[slot]);
+        resp.distances.push_back(codes_.Distance(slot, requests[i].code));
+      }
+      resp.has_distances = true;
       ++resp.stats.kernel_batch_calls;
       resp.stats.candidates_generated += n;
       resp.stats.exact_distance_computations += n;

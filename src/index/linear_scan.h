@@ -20,33 +20,23 @@ class LinearScanIndex final : public HammingIndex {
   std::string name() const override { return "Nested-Loops"; }
 
   Status Build(const std::vector<BinaryCode>& codes) override;
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
   Status Insert(TupleId id, const BinaryCode& code) override;
   Status Delete(TupleId id, const BinaryCode& code) override;
   std::size_t size() const override { return ids_.size(); }
   MemoryBreakdown Memory() const override;
 
-  /// \brief Exact k nearest stored tuples by Hamming distance, as
-  /// (id, distance) ascending — a full batched scan with a bounded
-  /// top-k heap (kernels::BatchKnn) instead of the base class's
-  /// radius-expanding Search loop.
-  Result<std::vector<std::pair<TupleId, uint32_t>>> Knn(
-      const BinaryCode& query, std::size_t k,
-      obs::QueryStats* stats = nullptr) const override;
-
   /// \brief Native batch range plan: requests whose radius picks the
-  /// vertical layout run the plane-pruning scan (identical to the
-  /// scalar path), and the rest coalesce into ONE tile-major
-  /// multi-query kernel call (kernels::MultiWithinDistance) that
-  /// streams the word lanes once for the whole group and reports exact
-  /// distances per match (has_distances).
+  /// vertical layout run the plane-pruning scan (their survivors' exact
+  /// distances come from one popcount each over the horizontal store),
+  /// and the rest coalesce into ONE tile-major multi-query kernel call
+  /// (kernels::MultiWithinDistance) that streams the word lanes once for
+  /// the whole group and reports exact distances per match.
   Status SearchBatch(std::span<const QueryRequest> requests,
                      std::span<QueryResponse> responses) const override;
 
-  /// \brief Native batch kNN: one multi-query bounded-heap scan
-  /// (kernels::MultiKnn), bit-identical per query to the scalar Knn.
+  /// \brief Native batch kNN: one multi-query scan with a bounded top-k
+  /// heap per query (kernels::MultiKnn) instead of the base class's
+  /// radius expansion.
   Status KnnBatch(std::span<const QueryRequest> requests,
                   std::span<QueryResponse> responses) const override;
 

@@ -162,18 +162,28 @@ Status MultiHashTableIndex::Delete(TupleId id, const BinaryCode& code) {
   return Status::OK();
 }
 
-Result<std::vector<TupleId>> MultiHashTableIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  if (stored_.empty()) return std::vector<TupleId>{};
+Status MultiHashTableIndex::SearchBatch(
+    std::span<const QueryRequest> requests,
+    std::span<QueryResponse> responses) const {
+  return SearchEach(requests, responses,
+                    [this](const QueryRequest& req, QueryResponse* resp) {
+                      return SearchOne(req.code, req.h, resp);
+                    });
+}
+
+Status MultiHashTableIndex::SearchOne(const BinaryCode& query, std::size_t h,
+                                      QueryResponse* resp) const {
+  if (stored_.empty()) return Status::OK();
   if (query.size() != code_bits_) {
     return Status::InvalidArgument("query length mismatch");
   }
-  std::vector<TupleId> out;
+  obs::QueryStats& stats = resp->stats;
+  std::vector<std::pair<TupleId, uint32_t>> out;
   // A tuple can match in several tables; verifying twice is cheaper than
   // a per-candidate visited set, so duplicates are dropped at the end.
   std::vector<uint32_t> slots;
   for (std::size_t t = 0; t < combos_.size(); ++t) {
-    if (stats != nullptr) ++stats->signatures_enumerated;
+    ++stats.signatures_enumerated;
     auto bucket_it = tables_[t].find(KeyOf(combos_[t], query));
     if (bucket_it == tables_[t].end()) continue;
     const Bucket& bucket = bucket_it->second;
@@ -187,19 +197,19 @@ Result<std::vector<TupleId>> MultiHashTableIndex::Search(
     kernels::VerticalScanStats vstats;
     kernels::BatchWithinDistanceDual(query, bucket.codes, mirror, h, &slots,
                                      &vstats);
-    if (stats != nullptr) {
-      ++stats->kernel_batch_calls;
-      stats->candidates_generated += bucket.ids.size();
-      stats->exact_distance_computations += bucket.ids.size();
-      stats->planes_scanned += vstats.planes_scanned;
-      stats->blocks_pruned += vstats.blocks_pruned;
+    ++stats.kernel_batch_calls;
+    stats.candidates_generated += bucket.ids.size();
+    stats.exact_distance_computations += bucket.ids.size();
+    stats.planes_scanned += vstats.planes_scanned;
+    stats.blocks_pruned += vstats.blocks_pruned;
+    // The scan reports slots only; each survivor's distance is one
+    // popcount over the bucket's horizontal codes.
+    for (uint32_t slot : slots) {
+      out.emplace_back(bucket.ids[slot], bucket.codes.Distance(slot, query));
     }
-    for (uint32_t slot : slots) out.push_back(bucket.ids[slot]);
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (stats != nullptr) stats->results += out.size();
-  return out;
+  SetUniqueMatches(&out, resp);
+  return Status::OK();
 }
 
 void MultiHashTableIndex::Serialize(BufferWriter* w) const {

@@ -39,16 +39,18 @@ class MultiHashTableIndex final : public HammingIndex {
   }
 
   Status Build(const std::vector<BinaryCode>& codes) override;
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
+  /// \brief Probes every table with the query's key and verifies each
+  /// bucket with one batched kernel pass. Exact for h <= h_max; beyond
+  /// it the answer may miss tuples but never holds a false positive.
+  Status SearchBatch(std::span<const QueryRequest> requests,
+                     std::span<QueryResponse> responses) const override;
   Status Insert(TupleId id, const BinaryCode& code) override;
   Status Delete(TupleId id, const BinaryCode& code) override;
   std::size_t size() const override { return stored_.size(); }
   MemoryBreakdown Memory() const override;
 
-  /// \brief True when the pigeonhole guarantee holds for threshold h.
-  bool ExactFor(std::size_t h) const { return h <= h_max_; }
+  /// \brief The pigeonhole guarantee holds for thresholds up to h_max.
+  std::size_t MaxRadius() const override { return h_max_; }
 
   /// \brief Actual number of materialized tables (C(b, h_max)).
   std::size_t num_tables() const { return combos_.size(); }
@@ -79,6 +81,8 @@ class MultiHashTableIndex final : public HammingIndex {
   static Status AppendToBucket(Bucket* bucket, TupleId id,
                                const BinaryCode& code);
 
+  Status SearchOne(const BinaryCode& query, std::size_t h,
+                   QueryResponse* resp) const;
   /// Lays out blocks/combinations on first use; validates key width.
   Status EnsureLayout(const BinaryCode& code);
   /// Bit range [begin, end) of block `blk`.

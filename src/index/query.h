@@ -1,12 +1,13 @@
-// Batch-first query surface of the index layer.
+// The query surface of the index layer.
 //
-// A QueryRequest describes one range (h-select) or kNN query; the batch
-// entry points HammingIndex::SearchBatch / KnnBatch take a span of them
-// and fill one QueryResponse per request. The serving layer
-// (src/serving/) coalesces concurrent in-flight queries into these
-// batches so the kernel-level amortization (one store stream shared by
-// every query in the batch — kernels::MultiWithinDistance/MultiKnn) is
-// harvested across *queries*, not just across stored codes.
+// A QueryRequest describes one range (h-select) or kNN query; the two
+// query entry points HammingIndex::SearchBatch / KnnBatch take a span of
+// them and fill one QueryResponse per request (a single query is a batch
+// of one). The serving layer (src/serving/) coalesces concurrent
+// in-flight queries into these batches so the kernel-level amortization
+// (one store stream shared by every query in the batch —
+// kernels::MultiWithinDistance/MultiKnn) is harvested across *queries*,
+// not just across stored codes.
 //
 // Ids, distances and statuses are per-request: a malformed query fails
 // its own response without poisoning the rest of the batch.
@@ -57,11 +58,16 @@ struct QueryRequest {
 
 /// \brief The result of one QueryRequest.
 ///
-/// Range queries fill `ids` (order unspecified, matching Search); when
-/// the index produced exact distances as a by-product (`has_distances`),
-/// `distances[i]` is the Hamming distance of `ids[i]`. kNN queries fill
-/// `neighbors` as (id, distance) ascending. `stats` accumulates the
-/// index's work counters for this request alone.
+/// Range queries fill `ids` (order unspecified) and, parallel to them,
+/// every match's exact Hamming distance in `distances`: each index family
+/// reports it on every OK range response. kNN queries fill `neighbors` as
+/// (id, distance) ascending. `stats` accumulates the index's work
+/// counters for this request alone.
+///
+/// `has_distances` is true on every OK range response and carries no
+/// information of its own; it stays only because the benchmark's serving
+/// driver (perfbench/src/serving.cc) still reads it, and goes with the
+/// next change to the benchmark.
 struct QueryResponse {
   Status status = Status::OK();
   std::vector<TupleId> ids;                     // kRange matches

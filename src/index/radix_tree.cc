@@ -162,13 +162,21 @@ Status RadixTreeIndex::Delete(TupleId id, const BinaryCode& code) {
   return Status::OK();
 }
 
-Result<std::vector<TupleId>> RadixTreeIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  std::vector<TupleId> out;
-  if (!root_) return out;
+Status RadixTreeIndex::SearchBatch(std::span<const QueryRequest> requests,
+                                   std::span<QueryResponse> responses) const {
+  return SearchEach(requests, responses,
+                    [this](const QueryRequest& req, QueryResponse* resp) {
+                      return SearchOne(req.code, req.h, resp);
+                    });
+}
+
+Status RadixTreeIndex::SearchOne(const BinaryCode& query, std::size_t h,
+                                 QueryResponse* resp) const {
+  if (!root_) return Status::OK();
   if (query.size() != code_bits_) {
     return Status::InvalidArgument("query length mismatch");
   }
+  obs::QueryStats& stats = resp->stats;
   // DFS with accumulated prefix distance; prune per Proposition 1.
   struct Frame {
     const Node* node;
@@ -181,7 +189,7 @@ Result<std::vector<TupleId>> RadixTreeIndex::Search(
     Frame f = stack.back();
     stack.pop_back();
     // Each visited edge is one shared-prefix (FLSS) distance evaluation.
-    if (stats != nullptr) ++stats->signatures_enumerated;
+    ++stats.signatures_enumerated;
     std::size_t dist = f.dist;
     for (std::size_t i = 0; i < f.node->label_len && dist <= h; ++i) {
       if (f.node->label.GetBit(i) != query.GetBit(f.depth + i)) ++dist;
@@ -189,10 +197,13 @@ Result<std::vector<TupleId>> RadixTreeIndex::Search(
     if (dist > h) continue;
     std::size_t depth = f.depth + f.node->label_len;
     if (depth == code_bits_) {
-      out.insert(out.end(), f.node->ids.begin(), f.node->ids.end());
-      if (stats != nullptr) {
-        stats->candidates_generated += f.node->ids.size();
-      }
+      // Labels and branch bits cover all L positions, so at a leaf the
+      // accumulated distance is exact.
+      resp->ids.insert(resp->ids.end(), f.node->ids.begin(),
+                       f.node->ids.end());
+      resp->distances.insert(resp->distances.end(), f.node->ids.size(),
+                             static_cast<uint32_t>(dist));
+      stats.candidates_generated += f.node->ids.size();
       continue;
     }
     bool qbit = query.GetBit(depth);
@@ -205,8 +216,8 @@ Result<std::vector<TupleId>> RadixTreeIndex::Search(
           {f.node->child[qbit ? 0 : 1].get(), depth + 1, dist + 1});
     }
   }
-  if (stats != nullptr) stats->results += out.size();
-  return out;
+  stats.results += resp->ids.size();
+  return Status::OK();
 }
 
 void RadixTreeIndex::CountNodes(const Node* n, std::size_t* count) {

@@ -21,9 +21,8 @@ class RadixTreeIndex final : public HammingIndex {
   std::string name() const override { return "Radix-Tree"; }
 
   Status Build(const std::vector<BinaryCode>& codes) override;
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
+  Status SearchBatch(std::span<const QueryRequest> requests,
+                     std::span<QueryResponse> responses) const override;
   Status Insert(TupleId id, const BinaryCode& code) override;
   Status Delete(TupleId id, const BinaryCode& code) override;
   std::size_t size() const override { return size_; }
@@ -43,6 +42,8 @@ class RadixTreeIndex final : public HammingIndex {
     bool IsLeaf() const { return !child[0] && !child[1]; }
   };
 
+  Status SearchOne(const BinaryCode& query, std::size_t h,
+                   QueryResponse* resp) const;
   static void CountNodes(const Node* n, std::size_t* count);
   static void AccountNode(const Node* n, MemoryBreakdown* mb);
 

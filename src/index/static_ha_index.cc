@@ -118,51 +118,26 @@ Status StaticHAIndex::Delete(TupleId id, const BinaryCode& code) {
   return Status::OK();
 }
 
-Result<std::vector<TupleId>> StaticHAIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  std::vector<TupleId> out;
-  SearchScratch scratch;
-  bool took_path_walk = false;
-  HAMMING_RETURN_NOT_OK(
-      SearchOne(query, h, stats, &out, nullptr, &took_path_walk, &scratch));
-  return out;
-}
-
 Status StaticHAIndex::SearchBatch(std::span<const QueryRequest> requests,
                                   std::span<QueryResponse> responses) const {
-  HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
   // One group refresh and one scratch allocation serve the whole batch.
   if (groups_stale_ && !paths_.empty()) RefreshGroups();
   SearchScratch scratch;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    QueryResponse& resp = responses[i];
-    resp.Clear();
-    bool took_path_walk = false;
-    Status st = SearchOne(requests[i].code, requests[i].h, &resp.stats,
-                          &resp.ids, &resp.distances, &took_path_walk,
-                          &scratch);
-    if (!st.ok()) {
-      resp.status = std::move(st);
-      continue;
-    }
-    resp.has_distances = took_path_walk;
-    if (!took_path_walk) resp.distances.clear();
-  }
-  return Status::OK();
+  return SearchEach(requests, responses,
+                    [this, &scratch](const QueryRequest& req,
+                                     QueryResponse* resp) {
+                      return SearchOne(req.code, req.h, resp, &scratch);
+                    });
 }
 
 Status StaticHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
-                                obs::QueryStats* stats,
-                                std::vector<TupleId>* out_ids,
-                                std::vector<uint32_t>* out_dists,
-                                bool* took_path_walk,
+                                QueryResponse* resp,
                                 SearchScratch* scratch) const {
-  std::vector<TupleId>& out = *out_ids;
-  *took_path_walk = false;
   if (paths_.empty()) return Status::OK();
   if (query.size() != code_bits_) {
     return Status::InvalidArgument("query length mismatch");
   }
+  obs::QueryStats& stats = resp->stats;
   const std::size_t nl = levels_.size();
 
   // Selective queries over large stores skip the node walk entirely and
@@ -178,19 +153,30 @@ Status StaticHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
     std::vector<uint32_t> slots;
     kernels::VerticalScanStats vstats;
     kernels::BatchWithinDistance(query, vcodes_, h, &slots, &vstats);
-    out.reserve(slots.size());
-    for (uint32_t slot : slots) out.push_back(paths_[slot]);
-    if (stats != nullptr) {
-      ++stats->kernel_batch_calls;
-      stats->candidates_generated += paths_.size();
-      stats->exact_distance_computations += paths_.size();
-      stats->results += out.size();
-      stats->planes_scanned += vstats.planes_scanned;
-      stats->blocks_pruned += vstats.blocks_pruned;
+    resp->ids.reserve(slots.size());
+    resp->distances.reserve(slots.size());
+    for (uint32_t slot : slots) {
+      // A survivor's distance: its path nodes against the query's
+      // segments, one popcount per level.
+      const uint32_t* path = path_nodes_.data() + slot * nl;
+      uint32_t d = 0;
+      for (std::size_t j = 0; j < nl; ++j) {
+        const Level& level = levels_[j];
+        d += static_cast<uint32_t>(
+            std::popcount(level.node_values[path[j]] ^
+                          query.SubstringAsUint64(level.begin, level.len)));
+      }
+      resp->ids.push_back(paths_[slot]);
+      resp->distances.push_back(d);
     }
+    ++stats.kernel_batch_calls;
+    stats.candidates_generated += paths_.size();
+    stats.exact_distance_computations += paths_.size();
+    stats.results += resp->ids.size();
+    stats.planes_scanned += vstats.planes_scanned;
+    stats.blocks_pruned += vstats.blocks_pruned;
     return Status::OK();
   }
-  *took_path_walk = true;
 
   // Phase 1: one XOR+popcount per *distinct* segment node — the shared
   // computation that distinguishes the HA-Index from per-tuple scans.
@@ -209,11 +195,9 @@ Status StaticHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
     // (node_values is a flat uint64 array — exactly one kernel lane).
     kernels::BatchXorPopcount(qseg, level.node_values.data(),
                               level.node_values.size(), dist.data());
-    if (stats != nullptr) {
-      ++stats->kernel_batch_calls;
-      // One shared distance per distinct segment node at this level.
-      stats->signatures_enumerated += level.node_values.size();
-    }
+    ++stats.kernel_batch_calls;
+    // One shared distance per distinct segment node at this level.
+    stats.signatures_enumerated += level.node_values.size();
     uint16_t best = 0xffff;
     for (std::size_t v = 0; v < level.node_values.size(); ++v) {
       if (level.node_refcount[v] == 0) {
@@ -239,7 +223,7 @@ Status StaticHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
     if (groups_[g].empty()) continue;
     std::size_t d0 = node_dist[0][g];
     if (d0 + min_rest[1] > h) continue;  // prunes every path through g
-    if (stats != nullptr) stats->candidates_generated += groups_[g].size();
+    stats.candidates_generated += groups_[g].size();
     for (uint32_t row : groups_[g]) {
       const uint32_t* path = path_nodes_.data() + row * nl;
       std::size_t acc = d0;
@@ -254,18 +238,15 @@ Status StaticHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
       // A row whose path walk completes has had its full distance summed
       // from memoized node distances — the exact computation for this
       // structure.
-      if (ok && stats != nullptr) ++stats->exact_distance_computations;
+      if (ok) ++stats.exact_distance_computations;
       if (ok && acc <= h) {
-        out.push_back(paths_[row]);
-        // The completed walk IS the exact distance — record it for free
-        // when the caller wants it (SearchBatch's has_distances).
-        if (out_dists != nullptr) {
-          out_dists->push_back(static_cast<uint32_t>(acc));
-        }
+        // The completed walk IS the exact distance.
+        resp->ids.push_back(paths_[row]);
+        resp->distances.push_back(static_cast<uint32_t>(acc));
       }
     }
   }
-  if (stats != nullptr) stats->results += out.size();
+  stats.results += resp->ids.size();
   return Status::OK();
 }
 

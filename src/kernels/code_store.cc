@@ -1,6 +1,7 @@
 #include "kernels/code_store.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "kernels/vertical_code_store.h"
 
@@ -82,6 +83,16 @@ bool CodeStore::Matches(std::size_t i, const BinaryCode& code) const {
     if (data_[w * stride_ + i] != words[w]) return false;
   }
   return true;
+}
+
+uint32_t CodeStore::Distance(std::size_t i, const BinaryCode& code) const {
+  const auto& words = code.words();
+  uint32_t d = 0;
+  for (std::size_t w = 0; w < nwords_; ++w) {
+    d += static_cast<uint32_t>(
+        std::popcount(data_[w * stride_ + i] ^ words[w]));
+  }
+  return d;
 }
 
 }  // namespace hamming::kernels

@@ -66,6 +66,11 @@ class CodeStore {
   /// BinaryCode materialization).
   bool Matches(std::size_t i, const BinaryCode& code) const;
 
+  /// \brief Hamming distance of slot `i` to `code` (same length): one
+  /// XOR+popcount per word lane. Gives the survivors of a vertical scan
+  /// their exact distance without re-scanning the store.
+  uint32_t Distance(std::size_t i, const BinaryCode& code) const;
+
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t bits() const { return bits_; }

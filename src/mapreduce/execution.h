@@ -203,13 +203,6 @@ inline constexpr std::size_t kUnlimitedShuffleMemory =
 struct ExecutionOptions {
   std::size_t num_reducers = 1;
   PartitionFn partition_fn;  // null = HashPartition
-  /// Benchmark knob: charge each record straight to the job's shared
-  /// (mutex-protected) Counters — the contended pattern the per-task
-  /// LocalCounters batching replaced. Ignored (buffered counting is
-  /// forced) whenever retries, speculation or fault injection are
-  /// active, because per-record shared counting cannot be un-charged
-  /// when an attempt is discarded.
-  bool legacy_contended_counters = false;
   /// Attempt budget per task; the job aborts with the task's first
   /// error once a task has failed this many times. Must be >= 1.
   std::size_t max_attempts = 1;

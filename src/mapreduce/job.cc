@@ -62,12 +62,6 @@ std::size_t EnvShuffleBudget() {
 ExecutionOptions ResolveOptions(const JobSpec& spec) {
   ExecutionOptions opts = spec.options;
   if (!opts.partition_fn) opts.partition_fn = PartitionFn(HashPartition);
-  // Per-record shared counting cannot be un-charged when an attempt is
-  // discarded, so any attempt-layer feature forces buffered counting.
-  if (opts.max_attempts > 1 || opts.speculation.enabled ||
-      opts.fault != nullptr) {
-    opts.legacy_contended_counters = false;
-  }
   if (opts.shuffle_memory_bytes == kUnlimitedShuffleMemory) {
     opts.shuffle_memory_bytes = EnvShuffleBudget();
   }
@@ -425,7 +419,6 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
   Stopwatch total_watch;
   EventLog events(&result.trace, opts.observer, &total_watch);
   const PartitionFn& partition = opts.partition_fn;
-  const bool legacy_counters = opts.legacy_contended_counters;
   const FaultInjector* fault = opts.fault.get();
 
   // ---- Map phase -------------------------------------------------------
@@ -452,11 +445,7 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
     const std::size_t fail_after =
         fd.fail ? split.size() / 2 : static_cast<std::size_t>(-1);
     auto count = [&](CounterId id, int64_t delta) {
-      if (legacy_counters) {
-        result.counters.Add(CounterName(id), delta);
-      } else {
-        out->counts.Add(id, delta);
-      }
+      out->counts.Add(id, delta);
     };
     std::unique_ptr<ShuffleWriter> writer;
     if (external) {
@@ -534,7 +523,7 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
   CommitFn map_commit = [&](std::size_t m, AttemptOutput* out) {
     map_outputs[m] = std::move(out->map_partitions);
     map_spills[m] = std::move(out->spills);
-    if (!legacy_counters) result.counters.MergeLocal(out->counts);
+    result.counters.MergeLocal(out->counts);
   };
   {
     PhaseRunner runner(cluster->pool(), TaskKind::kMap, num_maps, opts,
@@ -696,11 +685,7 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
         return CancelledStatus(TaskKind::kReduce);
       }
       auto count = [&](CounterId id, int64_t delta) {
-        if (legacy_counters) {
-          result.counters.Add(CounterName(id), delta);
-        } else {
-          out->counts.Add(id, delta);
-        }
+        out->counts.Add(id, delta);
       };
       Emitter emitter;
       if (external) {
@@ -793,7 +778,7 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
     };
     CommitFn reduce_commit = [&](std::size_t r, AttemptOutput* out) {
       result.outputs[r] = std::move(out->reduce_records);
-      if (!legacy_counters) result.counters.MergeLocal(out->counts);
+      result.counters.MergeLocal(out->counts);
     };
     PhaseRunner runner(cluster->pool(), TaskKind::kReduce, opts.num_reducers,
                        opts, &events);

@@ -34,7 +34,16 @@ Result<CodeTuple> DecodeCodeTuple(const std::vector<uint8_t>& bytes) {
   uint64_t table, id;
   HAMMING_RETURN_NOT_OK(r.GetVarint64(&table));
   HAMMING_RETURN_NOT_OK(r.GetVarint64(&id));
+  if (table > static_cast<uint64_t>(Table::kS)) {
+    return Status::IOError("code record table tag out of range");
+  }
+  if (id > std::numeric_limits<TupleId>::max()) {
+    return Status::IOError("code record tuple id out of range");
+  }
   HAMMING_RETURN_NOT_OK(BinaryCode::Deserialize(&r, &t.code));
+  if (r.remaining() != 0) {
+    return Status::IOError("trailing bytes after code record");
+  }
   t.table = static_cast<Table>(table);
   t.id = static_cast<TupleId>(id);
   return t;

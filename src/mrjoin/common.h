@@ -81,7 +81,10 @@ struct VectorTuple {
   std::vector<double> vec;
 };
 
-/// \brief Encodes/decodes a CodeTuple into a record value.
+/// \brief Encodes/decodes a CodeTuple into a record value: table tag and
+/// id as varints, then the serialized code. The decoder returns IOError
+/// for a table tag other than R/S, an id past TupleId's range, a corrupt
+/// code and trailing bytes.
 std::vector<uint8_t> EncodeCodeTuple(const CodeTuple& t);
 Result<CodeTuple> DecodeCodeTuple(const std::vector<uint8_t>& bytes);
 

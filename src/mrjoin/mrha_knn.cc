@@ -96,18 +96,22 @@ Result<MrhaKnnResult> RunMrhaKnnJoin(const FloatMatrix& r_data,
       HAMMING_ASSIGN_OR_RETURN(CodeTuple t, DecodeCodeTuple(v));
       // Threshold escalation until k candidates qualify (Section 2).
       obs::QueryStats qstats;
-      obs::QueryStats* qstats_ptr = metrics != nullptr ? &qstats : nullptr;
-      std::vector<std::pair<TupleId, uint32_t>> candidates;
-      std::size_t h = initial_h;
+      QueryRequest req = QueryRequest::Range(t.code, initial_h);
+      QueryResponse resp;
       for (;;) {
-        HAMMING_ASSIGN_OR_RETURN(
-            candidates,
-            index_ptr->SearchWithDistances(t.code, h, qstats_ptr));
-        if (candidates.size() >= k || h >= code_bits) break;
-        h = std::min(code_bits, h + h_step);
-        if (qstats_ptr != nullptr) ++qstats_ptr->radius_expansions;
+        HAMMING_RETURN_NOT_OK(index_ptr->SearchBatch({&req, 1}, {&resp, 1}));
+        HAMMING_RETURN_NOT_OK(resp.status);
+        qstats += resp.stats;
+        if (resp.ids.size() >= k || req.h >= code_bits) break;
+        req.h = std::min(code_bits, req.h + h_step);
+        ++qstats.radius_expansions;
       }
       if (metrics != nullptr) query_hists.Observe(metrics, qstats);
+      std::vector<std::pair<TupleId, uint32_t>> candidates;
+      candidates.reserve(resp.ids.size());
+      for (std::size_t i = 0; i < resp.ids.size(); ++i) {
+        candidates.emplace_back(resp.ids[i], resp.distances[i]);
+      }
       // Rank by code distance (ties by id for determinism), keep k.
       std::sort(candidates.begin(), candidates.end(),
                 [](const auto& a, const auto& b) {

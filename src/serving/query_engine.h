@@ -5,7 +5,7 @@
 // into a *system*: a stream of independent range/kNN queries from many
 // client threads is funneled through a bounded admission queue, coalesced
 // by kind into batches, and executed by a worker pool against shared
-// read-only HammingIndex instances via the batch-first index surface
+// read-only HammingIndex instances via the index batch query surface
 // (SearchBatch / KnnBatch, index/query.h).
 //
 // Data flow:
@@ -26,7 +26,7 @@
 // (one streaming pass over the stored codes shared by every query in the
 // batch — kernels::MultiWithinDistance / MultiKnn) is harvested across
 // concurrent *clients*, not just across stored codes. Requests in a batch
-// are independent, and the batch-first index contract guarantees each
+// are independent, and the index batch contract guarantees each
 // response is byte-identical to sequential execution, so coalescing is
 // invisible to callers. An optional `batch_linger` lets a worker wait
 // briefly for the queue to fill before dispatching a small batch —

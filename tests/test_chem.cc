@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "index/yao_index.h"
-#include "index/linear_scan.h"
 #include "test_util.h"
 
 namespace hamming {
@@ -72,56 +70,6 @@ TEST(Tanimoto, FingerprintGeneratorShape) {
     EXPECT_EQ(fp.size(), 166u);
     EXPECT_GT(fp.PopCount(), 5u);
     EXPECT_LT(fp.PopCount(), 100u);
-  }
-}
-
-TEST(YaoIndexTest, MatchesLinearScanAtH1) {
-  auto codes = testutil::RandomCodes(800, 32, /*seed=*/3, /*clusters=*/8,
-                                     /*flip_bits=*/2);
-  YaoIndex index;
-  ASSERT_TRUE(index.Build(codes).ok());
-  LinearScanIndex truth;
-  ASSERT_TRUE(truth.Build(codes).ok());
-  for (std::size_t i = 0; i < codes.size(); i += 31) {
-    for (std::size_t h : {0u, 1u}) {
-      EXPECT_EQ(Sorted(*index.Search(codes[i], h)),
-                Sorted(*truth.Search(codes[i], h)));
-    }
-    // Flipped-bit query exercises the other-half match path.
-    BinaryCode q = codes[i];
-    q.FlipBit(i % 32);
-    EXPECT_EQ(Sorted(*index.Search(q, 1)), Sorted(*truth.Search(q, 1)));
-  }
-}
-
-TEST(YaoIndexTest, RejectsLargerThresholds) {
-  auto codes = testutil::RandomCodes(10, 32);
-  YaoIndex index;
-  ASSERT_TRUE(index.Build(codes).ok());
-  EXPECT_FALSE(index.Search(codes[0], 2).ok());
-}
-
-TEST(YaoIndexTest, DynamicUpdates) {
-  auto codes = testutil::RandomCodes(100, 32, /*seed=*/5);
-  YaoIndex index;
-  ASSERT_TRUE(index.Build(codes).ok());
-  ASSERT_TRUE(index.Delete(42, codes[42]).ok());
-  auto got = index.Search(codes[42], 0).ValueOrDie();
-  for (TupleId id : got) EXPECT_NE(id, 42u);
-  ASSERT_TRUE(index.Insert(42, codes[42]).ok());
-  EXPECT_EQ(index.size(), 100u);
-  EXPECT_GT(index.Memory().total(), 0u);
-}
-
-TEST(YaoIndexTest, OddLengthCodes) {
-  auto codes = testutil::RandomCodes(100, 33, /*seed=*/7);
-  YaoIndex index;
-  ASSERT_TRUE(index.Build(codes).ok());
-  LinearScanIndex truth;
-  ASSERT_TRUE(truth.Build(codes).ok());
-  for (std::size_t i = 0; i < 100; i += 9) {
-    EXPECT_EQ(Sorted(*index.Search(codes[i], 1)),
-              Sorted(*truth.Search(codes[i], 1)));
   }
 }
 

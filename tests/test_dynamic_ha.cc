@@ -11,6 +11,7 @@ namespace hamming {
 namespace {
 
 using testutil::RandomCodes;
+using testutil::Search;
 
 TEST(DynamicHAIndex, StatsReflectStructure) {
   auto codes = RandomCodes(500, 32, /*seed=*/3, /*clusters=*/8);
@@ -50,7 +51,7 @@ TEST(DynamicHAIndex, FullSpaceExample) {
   ASSERT_TRUE(index.Build(codes).ok());
   EXPECT_EQ(index.Stats().num_leaves, 8u);
   for (uint64_t v = 0; v < 8; ++v) {
-    auto got = index.Search(codes[v], 1);
+    auto got = Search(index, codes[v], 1);
     ASSERT_TRUE(got.ok());
     // Distance <= 1 from a 3-bit code: itself + 3 neighbours.
     EXPECT_EQ(got->size(), 4u) << "v=" << v;
@@ -71,8 +72,8 @@ TEST(DynamicHAIndex, SerializationPreservesSearchResults) {
 
   auto queries = RandomCodes(10, 32, /*seed=*/77, /*clusters=*/8);
   for (const auto& q : queries) {
-    auto a = index.Search(q, 3);
-    auto b = back.Search(q, 3);
+    auto a = Search(index, q, 3);
+    auto b = Search(back, q, 3);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(Sorted(*a), Sorted(*b));
@@ -93,7 +94,7 @@ TEST(DynamicHAIndex, SerializationCompactsDeadNodes) {
   BufferReader r(w.buffer());
   auto back = DynamicHAIndex::Deserialize(&r).ValueOrDie();
   EXPECT_EQ(back.size(), 100u);
-  auto got = back.Search(codes[150], 0);
+  auto got = Search(back, codes[150], 0);
   ASSERT_TRUE(got.ok());
   bool found = false;
   for (TupleId id : *got) {
@@ -125,9 +126,9 @@ TEST(DynamicHAIndex, MergePreservesAllTuples) {
 
   auto queries = RandomCodes(15, 32, /*seed=*/99, /*clusters=*/6);
   for (const auto& q : queries) {
-    auto got = a.Search(q, 3);
+    auto got = Search(a, q, 3);
     ASSERT_TRUE(got.ok());
-    auto expect = truth.Search(q, 3);
+    auto expect = Search(truth, q, 3);
     // Translate expected ids: rows >= 150 belong to b's 1000+ range.
     std::vector<TupleId> expect_ids;
     for (TupleId id : *expect) {
@@ -160,7 +161,7 @@ TEST(DynamicHAIndex, LeaflessModeSearchCodes) {
   DynamicHAIndex index(opts);
   ASSERT_TRUE(index.Build(codes).ok());
   // Search by id is unavailable...
-  EXPECT_TRUE(index.Search(codes[0], 3).status().IsNotImplemented());
+  EXPECT_TRUE(Search(index, codes[0], 3).status().IsNotImplemented());
   EXPECT_TRUE(index.Delete(0, codes[0]).IsNotImplemented());
   // ...but SearchCodes returns exactly the qualifying distinct codes.
   LinearScanIndex truth;
@@ -174,7 +175,7 @@ TEST(DynamicHAIndex, LeaflessModeSearchCodes) {
     got_str.erase(std::unique(got_str.begin(), got_str.end()),
                   got_str.end());
 
-    auto ids = truth.Search(q, 3).ValueOrDie();
+    auto ids = Search(truth, q, 3).ValueOrDie();
     std::vector<std::string> expect_str;
     for (TupleId id : ids) expect_str.push_back(codes[id].ToString());
     std::sort(expect_str.begin(), expect_str.end());
@@ -207,8 +208,8 @@ TEST(DynamicHAIndex, BufferFlushKeepsAnswersCorrect) {
     ASSERT_TRUE(index.Insert(static_cast<TupleId>(i), codes[i]).ok());
     ASSERT_TRUE(truth.Insert(static_cast<TupleId>(i), codes[i]).ok());
     if (i % 97 == 0) {
-      auto got = index.Search(codes[i / 2], 3);
-      auto expect = truth.Search(codes[i / 2], 3);
+      auto got = Search(index, codes[i / 2], 3);
+      auto expect = Search(truth, codes[i / 2], 3);
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(Sorted(*got), Sorted(*expect)) << "after " << i;
     }
@@ -224,7 +225,7 @@ TEST(DynamicHAIndex, DeleteEverythingLeavesEmptyIndex) {
     ASSERT_TRUE(index.Delete(id, codes[id]).ok()) << id;
   }
   EXPECT_EQ(index.size(), 0u);
-  auto got = index.Search(codes[0], 32);
+  auto got = Search(index, codes[0], 32);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->empty());
   auto stats = index.Stats();
@@ -308,9 +309,9 @@ TEST(DynamicHAIndex, WindowSizeSweepStaysExact) {
       DynamicHAIndex index(opts);
       ASSERT_TRUE(index.Build(codes).ok());
       for (const auto& query : q) {
-        auto got = index.Search(query, 3);
+        auto got = Search(index, query, 3);
         ASSERT_TRUE(got.ok());
-        EXPECT_EQ(Sorted(*got), Sorted(*truth.Search(query, 3)))
+        EXPECT_EQ(Sorted(*got), Sorted(*Search(truth, query, 3)))
             << "window=" << window << " depth=" << depth;
       }
     }

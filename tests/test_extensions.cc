@@ -1,10 +1,9 @@
-// Tests for the extension modules: bit-sampling LSH and the distributed
-// Hamming-select plan.
+// Tests for the extension modules: the distributed Hamming-select plan
+// and the MRHA kNN-join.
 #include <gtest/gtest.h>
 
 #include "dataset/generators.h"
 #include "dataset/sampling.h"
-#include "index/bitsample_lsh.h"
 #include "index/linear_scan.h"
 #include "mrjoin/mrha_knn.h"
 #include "mrjoin/mrselect.h"
@@ -14,89 +13,7 @@ namespace hamming {
 namespace {
 
 using testutil::RandomCodes;
-
-TEST(BitSampleLsh, NeverReturnsFalsePositives) {
-  auto codes = RandomCodes(500, 32, /*seed=*/3, /*clusters=*/8);
-  BitSampleLshIndex index;
-  ASSERT_TRUE(index.Build(codes).ok());
-  LinearScanIndex truth;
-  ASSERT_TRUE(truth.Build(codes).ok());
-  auto queries = RandomCodes(20, 32, /*seed=*/4, /*clusters=*/8);
-  for (const auto& q : queries) {
-    auto got = Sorted(*index.Search(q, 3));
-    auto expect = Sorted(*truth.Search(q, 3));
-    EXPECT_TRUE(std::includes(expect.begin(), expect.end(), got.begin(),
-                              got.end()));
-  }
-}
-
-TEST(BitSampleLsh, ExactMatchAlwaysFound) {
-  // h=0 collides in every table (all sampled bits equal), so recall at
-  // distance 0 is 1.
-  auto codes = RandomCodes(300, 32, /*seed=*/5, /*clusters=*/8);
-  BitSampleLshIndex index;
-  ASSERT_TRUE(index.Build(codes).ok());
-  for (std::size_t i = 0; i < codes.size(); i += 17) {
-    auto got = index.Search(codes[i], 0).ValueOrDie();
-    bool found = false;
-    for (TupleId id : got) {
-      if (id == i) found = true;
-    }
-    EXPECT_TRUE(found) << i;
-  }
-}
-
-TEST(BitSampleLsh, RecallIsReasonableAtSmallH) {
-  auto codes = RandomCodes(1000, 32, /*seed=*/7, /*clusters=*/16);
-  BitSampleLshOptions opts;
-  opts.num_tables = 16;
-  opts.bits_per_table = 10;
-  BitSampleLshIndex index(opts);
-  ASSERT_TRUE(index.Build(codes).ok());
-  LinearScanIndex truth;
-  ASSERT_TRUE(truth.Build(codes).ok());
-  std::size_t got_total = 0, expect_total = 0;
-  // Queries: dataset members with one flipped bit (guaranteed h<=2
-  // neighbourhoods).
-  Rng qrng(8);
-  std::vector<BinaryCode> queries;
-  for (int i = 0; i < 30; ++i) {
-    BinaryCode q = codes[static_cast<std::size_t>(qrng.UniformInt(0, 999))];
-    q.FlipBit(static_cast<std::size_t>(qrng.UniformInt(0, 31)));
-    queries.push_back(q);
-  }
-  for (const auto& q : queries) {
-    got_total += index.Search(q, 2).ValueOrDie().size();
-    expect_total += truth.Search(q, 2).ValueOrDie().size();
-  }
-  ASSERT_GT(expect_total, 0u);
-  double recall = static_cast<double>(got_total) /
-                  static_cast<double>(expect_total);
-  // Theory: per-table collision prob (1 - 2/32)^10 = 0.52; with 16
-  // tables overall recall should approach 1.
-  EXPECT_GT(recall, 0.9);
-  EXPECT_GT(index.CollisionProbability(2), 0.4);
-}
-
-TEST(BitSampleLsh, DynamicUpdates) {
-  BitSampleLshIndex index;
-  auto codes = RandomCodes(50, 32, /*seed=*/9);
-  ASSERT_TRUE(index.Build(codes).ok());
-  ASSERT_TRUE(index.Delete(10, codes[10]).ok());
-  EXPECT_TRUE(index.Delete(10, codes[10]).IsKeyError());
-  auto got = index.Search(codes[10], 0).ValueOrDie();
-  for (TupleId id : got) EXPECT_NE(id, 10u);
-  ASSERT_TRUE(index.Insert(10, codes[10]).ok());
-  EXPECT_EQ(index.size(), 50u);
-  EXPECT_GT(index.Memory().total(), 0u);
-}
-
-TEST(BitSampleLsh, Validation) {
-  BitSampleLshOptions bad;
-  bad.bits_per_table = 0;
-  BitSampleLshIndex index(bad);
-  EXPECT_FALSE(index.Build(RandomCodes(5, 32)).ok());
-}
+using testutil::Search;
 
 TEST(MrSelect, MatchesCentralizedSelect) {
   FloatMatrix data = GenerateDataset(DatasetKind::kNusWide, 500,
@@ -127,7 +44,7 @@ TEST(MrSelect, MatchesCentralizedSelect) {
   LinearScanIndex truth;
   ASSERT_TRUE(truth.Build(codes).ok());
   for (std::size_t q = 0; q < qcodes.size(); ++q) {
-    EXPECT_EQ(result->matches[q], Sorted(*truth.Search(qcodes[q], opts.h)))
+    EXPECT_EQ(result->matches[q], Sorted(*Search(truth, qcodes[q], opts.h)))
         << "query " << q;
   }
 }

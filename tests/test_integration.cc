@@ -18,6 +18,8 @@
 namespace hamming {
 namespace {
 
+using testutil::Search;
+
 // ---------------------------------------------------------------------------
 // Distributed select across partition counts.
 // ---------------------------------------------------------------------------
@@ -92,7 +94,7 @@ TEST(Integration, PersistenceMidWorkflow) {
   ASSERT_TRUE(truth.Build(codes).ok());
   auto queries = testutil::RandomCodes(10, 32, /*seed=*/22, /*clusters=*/8);
   for (const auto& q : queries) {
-    EXPECT_EQ(Sorted(*reloaded.Search(q, 3)), Sorted(*truth.Search(q, 3)));
+    EXPECT_EQ(Sorted(*Search(reloaded, q, 3)), Sorted(*Search(truth, q, 3)));
   }
 }
 
@@ -118,7 +120,7 @@ TEST_P(CodeLengthTest, EndToEndExactAtEveryCodeLength) {
   for (std::size_t qi = 0; qi < 5; ++qi) {
     const auto& q = table.codes()[qi * 31];
     auto got = ops::HammingSelect(table, q, 3, {}).ValueOrDie();
-    EXPECT_EQ(Sorted(got), Sorted(*truth.Search(q, 3))) << "bits=" << bits;
+    EXPECT_EQ(Sorted(got), Sorted(*Search(truth, q, 3))) << "bits=" << bits;
   }
 }
 

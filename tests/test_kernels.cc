@@ -39,17 +39,7 @@ class ScopedBackend {
   Backend prev_;
 };
 
-// Pins the layout policy for one scope.
-class ScopedLayout {
- public:
-  explicit ScopedLayout(LayoutPolicy p) : prev_(ActiveLayoutPolicy()) {
-    SetLayoutPolicy(p);
-  }
-  ~ScopedLayout() { SetLayoutPolicy(prev_); }
-
- private:
-  LayoutPolicy prev_;
-};
+using testutil::ScopedLayout;
 
 TEST(CodeStore, RoundTripsCodes) {
   for (std::size_t bits : kLengths) {

@@ -9,6 +9,8 @@
 namespace hamming {
 namespace {
 
+using testutil::Search;
+
 TEST(MemTrack, FormatBytes) {
   EXPECT_EQ(obs::FormatBytes(0), "0B");
   EXPECT_EQ(obs::FormatBytes(473), "473B");
@@ -39,8 +41,7 @@ TEST(MultiHashTable, MankuLayoutMatchesPaperConfigurations) {
   EXPECT_EQ(mh4.num_tables(), 4u);
   EXPECT_EQ(mh10.num_blocks(), 5u);
   EXPECT_EQ(mh10.num_tables(), 10u);
-  EXPECT_TRUE(mh4.ExactFor(3));
-  EXPECT_FALSE(mh4.ExactFor(4));
+  EXPECT_EQ(mh4.MaxRadius(), 3u);
 }
 
 TEST(MultiHashTable, SerializationRoundTrip) {
@@ -54,7 +55,7 @@ TEST(MultiHashTable, SerializationRoundTrip) {
   EXPECT_EQ(back.size(), index.size());
   auto queries = testutil::RandomCodes(10, 32, /*seed=*/6, /*clusters=*/8);
   for (const auto& q : queries) {
-    EXPECT_EQ(Sorted(*back.Search(q, 3)), Sorted(*index.Search(q, 3)));
+    EXPECT_EQ(Sorted(*Search(back, q, 3)), Sorted(*Search(index, q, 3)));
   }
 }
 

@@ -243,6 +243,51 @@ TEST(VectorTupleCodec, RejectsTruncatedOversizedOrTrailingInput) {
   }
 }
 
+TEST(CodeTupleCodec, RoundTripsAndRejectsCorruptInput) {
+  const BinaryCode code = BinaryCode::FromString("1011001").ValueOrDie();
+  const std::vector<CodeTuple> tuples = {
+      {Table::kR, 0, code},
+      {Table::kS, std::numeric_limits<TupleId>::max(), BinaryCode(64)},
+  };
+  for (const CodeTuple& t : tuples) {
+    const std::vector<uint8_t> bytes = EncodeCodeTuple(t);
+    auto got = DecodeCodeTuple(bytes);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->table, t.table);
+    EXPECT_EQ(got->id, t.id);
+    EXPECT_EQ(got->code, t.code);
+    EXPECT_EQ(EncodeCodeTuple(*got), bytes);
+  }
+  // Each rejection replaces one field of an otherwise valid record.
+  auto record = [&code](uint64_t table, uint64_t id) {
+    BufferWriter w;
+    w.PutVarint64(table);
+    w.PutVarint64(id);
+    code.Serialize(&w);
+    return w.Release();
+  };
+  ASSERT_TRUE(DecodeCodeTuple(record(1, 9)).ok());
+  std::vector<uint8_t> trailing = record(1, 9);
+  trailing.push_back(0);
+  std::vector<uint8_t> truncated = record(1, 9);
+  truncated.pop_back();
+  std::vector<uint8_t> padding = record(1, 9);
+  padding.back() |= 1;  // the 7-bit code's unused eighth bit
+  const std::vector<std::vector<uint8_t>> bad = {
+      {},                                          // no header at all
+      record(2, 9),                                // tag neither R nor S
+      record(1, uint64_t{1} << 32),                // id > 2^32 - 1
+      trailing,                                    // a byte past the code
+      truncated,                                   // code cut short
+      padding,                                     // non-canonical code
+  };
+  for (const auto& bytes : bad) {
+    auto got = DecodeCodeTuple(bytes);
+    EXPECT_FALSE(got.ok());
+    EXPECT_TRUE(got.status().IsIOError()) << got.status();
+  }
+}
+
 TEST(MrSelectCollect, RejectsAQueryPositionPastTheBatch) {
   const std::vector<TupleId> ids = {8, 3}, q1 = {1}, q5 = {5};
   std::vector<std::vector<mr::Record>> outputs(2);

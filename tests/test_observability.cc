@@ -27,9 +27,13 @@
 #include "observability/metrics.h"
 #include "observability/query_stats.h"
 #include "observability/trace.h"
+#include "test_util.h"
 
 namespace hamming::obs {
 namespace {
+
+using testutil::Knn;
+using testutil::Search;
 
 // ---- Histogram bucketing --------------------------------------------------
 
@@ -549,7 +553,7 @@ TEST(QueryStats, LinearScanCountsEveryRow) {
   auto codes = SmallCodes();
   ASSERT_TRUE(index.Build(codes).ok());
   QueryStats stats;
-  auto got = index.Search(codes[0], 1, &stats);
+  auto got = Search(index, codes[0], 1, &stats);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.candidates_generated, codes.size());
   EXPECT_EQ(stats.exact_distance_computations, codes.size());
@@ -565,26 +569,26 @@ TEST(QueryStats, IndexFamiliesFillStats) {
   MultiHashTableIndex mh(4);
   ASSERT_TRUE(mh.Build(codes).ok());
   QueryStats mh_stats;
-  ASSERT_TRUE(mh.Search(codes[1], 2, &mh_stats).ok());
+  ASSERT_TRUE(Search(mh, codes[1], 2, &mh_stats).ok());
   EXPECT_GT(mh_stats.signatures_enumerated, 0u);
 
   StaticHAIndex sha(StaticHAIndexOptions{8});
   ASSERT_TRUE(sha.Build(codes).ok());
   QueryStats sha_stats;
-  ASSERT_TRUE(sha.Search(codes[1], 2, &sha_stats).ok());
+  ASSERT_TRUE(Search(sha, codes[1], 2, &sha_stats).ok());
   EXPECT_GT(sha_stats.signatures_enumerated, 0u);
   EXPECT_GT(sha_stats.kernel_batch_calls, 0u);
 
   DynamicHAIndex dha;
   ASSERT_TRUE(dha.Build(codes).ok());
   QueryStats dha_stats;
-  auto got = dha.Search(codes[1], 2, &dha_stats);
+  auto got = Search(dha, codes[1], 2, &dha_stats);
   ASSERT_TRUE(got.ok());
   EXPECT_GT(dha_stats.signatures_enumerated, 0u);
   EXPECT_EQ(dha_stats.results, got->size());
 
   // Null stats pointer: same results, no crash.
-  auto no_stats = dha.Search(codes[1], 2, nullptr);
+  auto no_stats = Search(dha, codes[1], 2, nullptr);
   ASSERT_TRUE(no_stats.ok());
   EXPECT_EQ(*no_stats, *got);
   (void)null_stats;
@@ -595,7 +599,7 @@ TEST(QueryStats, KnnRecordsRadiusExpansions) {
   auto codes = SmallCodes();
   ASSERT_TRUE(index.Build(codes).ok());
   QueryStats stats;
-  auto got = index.Knn(codes[0], 3, &stats);
+  auto got = Knn(index, codes[0], 3, &stats);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->size(), 3u);
   EXPECT_EQ(stats.results, 3u);

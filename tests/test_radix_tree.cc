@@ -10,6 +10,7 @@ namespace hamming {
 namespace {
 
 using testutil::RandomCodes;
+using testutil::Search;
 
 TEST(RadixTree, PathCompressionBoundsNodeCount) {
   // A PATRICIA trie over k distinct keys has at most 2k - 1 nodes.
@@ -25,7 +26,7 @@ TEST(RadixTree, SingleCodeIsOneNode) {
   auto code = BinaryCode::FromString("10110").ValueOrDie();
   ASSERT_TRUE(index.Insert(0, code).ok());
   EXPECT_EQ(index.NodeCount(), 1u);
-  auto got = index.Search(code, 0);
+  auto got = Search(index, code, 0);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, std::vector<TupleId>{0});
 }
@@ -38,11 +39,11 @@ TEST(RadixTree, PaperFigure1Example) {
   RadixTreeIndex index;
   ASSERT_TRUE(index.Build(codes).ok());
   auto tq = BinaryCode::FromString("110010110").ValueOrDie();
-  auto got = index.Search(tq, 2);
+  auto got = Search(index, tq, 2);
   ASSERT_TRUE(got.ok());
   LinearScanIndex truth;
   ASSERT_TRUE(truth.Build(codes).ok());
-  EXPECT_EQ(Sorted(*got), Sorted(*truth.Search(tq, 2)));
+  EXPECT_EQ(Sorted(*got), Sorted(*Search(truth, tq, 2)));
   for (TupleId id : *got) {
     EXPECT_NE(id, 0u);
     EXPECT_NE(id, 1u);
@@ -61,8 +62,8 @@ TEST(RadixTree, DeleteMergesSingleChildChains) {
   ASSERT_TRUE(index.Delete(1, b).ok());
   EXPECT_LT(index.NodeCount(), before);
   // Remaining codes still findable.
-  EXPECT_EQ(Sorted(*index.Search(a, 0)), std::vector<TupleId>{0});
-  EXPECT_EQ(Sorted(*index.Search(c, 0)), std::vector<TupleId>{2});
+  EXPECT_EQ(Sorted(*Search(index, a, 0)), std::vector<TupleId>{0});
+  EXPECT_EQ(Sorted(*Search(index, c, 0)), std::vector<TupleId>{2});
   // Deleting the rest empties the tree.
   ASSERT_TRUE(index.Delete(0, a).ok());
   ASSERT_TRUE(index.Delete(2, c).ok());
@@ -91,9 +92,9 @@ TEST(RadixTree, ChurnStaysExact) {
     if (op % 97 == 0) {
       const BinaryCode& q = codes[static_cast<std::size_t>(
           rng.UniformInt(0, static_cast<int64_t>(codes.size()) - 1))];
-      auto got = index.Search(q, 2);
+      auto got = Search(index, q, 2);
       ASSERT_TRUE(got.ok());
-      EXPECT_EQ(Sorted(*got), Sorted(*truth.Search(q, 2))) << "op " << op;
+      EXPECT_EQ(Sorted(*got), Sorted(*Search(truth, q, 2))) << "op " << op;
     }
   }
 }
@@ -106,7 +107,7 @@ TEST(RadixTree, WorstCaseAlternatingPrefixes) {
   codes.push_back(BinaryCode::FromString("111111111").ValueOrDie());
   RadixTreeIndex index;
   ASSERT_TRUE(index.Build(codes).ok());
-  auto got = index.Search(codes[0], 1);
+  auto got = Search(index, codes[0], 1);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(*got), (std::vector<TupleId>{0, 1}));
 }

@@ -11,6 +11,7 @@ namespace hamming {
 namespace {
 
 using testutil::RandomCodes;
+using testutil::Search;
 
 TEST(StaticHAIndex, SharedNodesAreFarFewerThanTuples) {
   // The Figure 2 claim: distinct segment values are shared, so the node
@@ -78,9 +79,9 @@ TEST(StaticHAIndex, StaysExactUnderHeavyChurn) {
     if (op % 101 == 0) {
       const BinaryCode& q = codes[static_cast<std::size_t>(
           rng.UniformInt(0, static_cast<int64_t>(codes.size()) - 1))];
-      auto got = index.Search(q, 3);
+      auto got = Search(index, q, 3);
       ASSERT_TRUE(got.ok());
-      EXPECT_EQ(Sorted(*got), Sorted(*truth.Search(q, 3))) << "op " << op;
+      EXPECT_EQ(Sorted(*got), Sorted(*Search(truth, q, 3))) << "op " << op;
     }
   }
 }
@@ -94,9 +95,9 @@ TEST(StaticHAIndex, SegmentWidthSweepStaysExact) {
     StaticHAIndex index(StaticHAIndexOptions{seg});
     ASSERT_TRUE(index.Build(codes).ok());
     for (const auto& q : queries) {
-      auto got = index.Search(q, 4);
+      auto got = Search(index, q, 4);
       ASSERT_TRUE(got.ok());
-      EXPECT_EQ(Sorted(*got), Sorted(*truth.Search(q, 4))) << "seg=" << seg;
+      EXPECT_EQ(Sorted(*got), Sorted(*Search(truth, q, 4))) << "seg=" << seg;
     }
   }
 }
@@ -106,7 +107,7 @@ TEST(StaticHAIndex, NonDivisibleSegmentWidth) {
   auto codes = RandomCodes(100, 32, /*seed=*/21);
   StaticHAIndex index(StaticHAIndexOptions{5});
   ASSERT_TRUE(index.Build(codes).ok());
-  auto got = index.Search(codes[0], 0);
+  auto got = Search(index, codes[0], 0);
   ASSERT_TRUE(got.ok());
   bool found = false;
   for (TupleId id : *got) {

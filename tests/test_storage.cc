@@ -14,6 +14,8 @@
 namespace hamming::storage {
 namespace {
 
+using testutil::Search;
+
 std::string TempPath(const std::string& name) {
   return std::string("/tmp/hammingdb_test_") + name;
 }
@@ -125,7 +127,7 @@ TEST_F(StorageTest, IndexRoundTrip) {
   ASSERT_TRUE(back.ok()) << back.status();
   auto queries = testutil::RandomCodes(10, 32, /*seed=*/4, /*clusters=*/8);
   for (const auto& q : queries) {
-    EXPECT_EQ(Sorted(*back->Search(q, 3)), Sorted(*index.Search(q, 3)));
+    EXPECT_EQ(Sorted(*Search(*back, q, 3)), Sorted(*Search(index, q, 3)));
   }
 }
 

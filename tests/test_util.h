@@ -1,8 +1,10 @@
 // Shared helpers for the hamming-db test suite.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -15,8 +17,55 @@
 #include "index/multi_hash_table.h"
 #include "index/radix_tree.h"
 #include "index/static_ha_index.h"
+#include "kernels/hamming_kernels.h"
+
+namespace hamming {
+
+/// \brief Sorts a search result for deterministic comparison.
+inline std::vector<TupleId> Sorted(std::vector<TupleId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+}  // namespace hamming
 
 namespace hamming::testutil {
+
+/// \brief Runs `req` against `index` as a batch of one — through KnnBatch
+/// for a kNN request, SearchBatch otherwise — and returns its response,
+/// or the batch-level or per-request error. When `stats` is non-null the
+/// response's work counters are added to it.
+inline Result<QueryResponse> RunOne(const HammingIndex& index,
+                                    const QueryRequest& req,
+                                    obs::QueryStats* stats = nullptr) {
+  QueryResponse resp;
+  HAMMING_RETURN_NOT_OK(req.kind == QueryKind::kKnn
+                            ? index.KnnBatch({&req, 1}, {&resp, 1})
+                            : index.SearchBatch({&req, 1}, {&resp, 1}));
+  if (stats != nullptr) *stats += resp.stats;
+  HAMMING_RETURN_NOT_OK(resp.status);
+  return resp;
+}
+
+/// \brief The ids of one range query (RunOne over QueryRequest::Range).
+inline Result<std::vector<TupleId>> Search(const HammingIndex& index,
+                                           const BinaryCode& query,
+                                           std::size_t h,
+                                           obs::QueryStats* stats = nullptr) {
+  HAMMING_ASSIGN_OR_RETURN(QueryResponse resp,
+                           RunOne(index, QueryRequest::Range(query, h), stats));
+  return std::move(resp.ids);
+}
+
+/// \brief The (id, distance) neighbours of one kNN query (RunOne over
+/// QueryRequest::Knn), ascending by distance then id.
+inline Result<std::vector<std::pair<TupleId, uint32_t>>> Knn(
+    const HammingIndex& index, const BinaryCode& query, std::size_t k,
+    obs::QueryStats* stats = nullptr) {
+  HAMMING_ASSIGN_OR_RETURN(QueryResponse resp,
+                           RunOne(index, QueryRequest::Knn(query, k), stats));
+  return std::move(resp.neighbors);
+}
 
 /// \brief `n` random codes of `bits` bits. When cluster > 1, codes are
 /// generated around cluster centers with few flipped bits so the data has
@@ -52,6 +101,19 @@ inline std::vector<BinaryCode> RandomCodes(std::size_t n, std::size_t bits,
   }
   return out;
 }
+
+/// \brief Pins the kernel layout policy for one scope.
+class ScopedLayout {
+ public:
+  explicit ScopedLayout(kernels::LayoutPolicy p)
+      : prev_(kernels::ActiveLayoutPolicy()) {
+    kernels::SetLayoutPolicy(p);
+  }
+  ~ScopedLayout() { kernels::SetLayoutPolicy(prev_); }
+
+ private:
+  kernels::LayoutPolicy prev_;
+};
 
 /// \brief Names of all index implementations under test.
 inline std::vector<std::string> AllIndexNames() {
